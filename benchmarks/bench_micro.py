@@ -1,15 +1,21 @@
 """Kernel micro-benchmarks: the array-shaped inner loops vs their references.
 
-PR 8 rewrote three inner-loop kernels in array/integer shape while
-keeping their decisions byte-identical to the straightforward reference
-formulations:
+Four inner-loop kernels run in integer/bitset shape while keeping their
+decisions byte-identical to straightforward reference formulations:
 
-* ``max_chain`` -- retire-pointer O(k log k) DP vs the quadratic scan;
+* ``max_chain`` -- the id-space chain kernel exactly as Bindselect runs
+  it on a cache miss (candidate op-id bitset decoded to ids, flat per-id
+  ``start``/``L_o`` lists, retire-pointer O(k log k) DP) vs the
+  quadratic name-keyed scan;
 * the Bindselect **cover probe** -- :class:`~repro.core.binding.BindIndex`
   bitset AND + lowest-set-bit vs per-op set intersection + ``min``;
 * the Eqn. 3 **tracker ops** -- scaled-integer
   :class:`~repro.core.scheduling.Eqn3Tracker` vs the retained
-  ``Fraction`` reference.
+  ``Fraction`` reference;
+* ``kind_cover`` -- the scheduling-set cover's bitset branch-and-bound
+  (``WordlengthCompatibilityGraph.kind_cover``) vs the set-based
+  branch-and-bound it replaced, over a trajectory of refined ``H``
+  states.
 
 This benchmark times each kernel against its in-process reference on
 the same inputs, asserts the outputs agree (the byte-identity
@@ -34,21 +40,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from common import tgff_problems  # noqa: E402  (shared problem grid)
 
-from repro.core.binding import (  # noqa: E402
-    BindIndex,
-    _cheapest_covering_resource,
-    max_chain,
-)
+from repro.core.binding import BindIndex, max_chain  # noqa: E402
 from repro.core.scheduling import (  # noqa: E402
     Eqn3Tracker,
     Eqn3TrackerReference,
     list_schedule,
 )
 from repro.core.wcg import WordlengthCompatibilityGraph  # noqa: E402
+from repro.utils.covering import set_bits  # noqa: E402
 
 
 def reference_max_chain(candidates, schedule, latencies):
-    """The pre-PR-8 quadratic max-chain DP (reference semantics)."""
+    """The quadratic name-keyed max-chain DP (reference semantics)."""
     if not candidates:
         return []
     ordered = sorted(candidates, key=lambda n: (schedule[n], n))
@@ -70,6 +73,73 @@ def reference_max_chain(candidates, schedule, latencies):
         cursor = best_pred[cursor]
     chain.reverse()
     return chain
+
+
+def reference_cheapest_covering(ops, wcg, area_model):
+    """Cheapest resource with a current H edge to every op (Eqn. 4),
+    by per-op set intersection + ``min``."""
+    candidates = None
+    for name in ops:
+        compatible = set(wcg.compatible_resources(name))
+        candidates = compatible if candidates is None else candidates & compatible
+        if not candidates:
+            return None
+    return min(candidates, key=lambda r: (area_model.area(r), r))
+
+
+def reference_greedy_unit_cover(universe, sets):
+    """Unweighted Chvatal greedy over Python sets, reprs in every key."""
+    chosen = []
+    remaining = set(universe)
+    while remaining:
+        best_name, best_key = None, None
+        for name in sorted(sets, key=repr):
+            gain = len(sets[name] & remaining)
+            if gain == 0:
+                continue
+            key = (gain / 1.0, -1.0, repr(name))
+            if best_name is None or key > best_key:
+                best_name, best_key = name, key
+        chosen.append(best_name)
+        remaining -= sets[best_name]
+    return chosen
+
+
+def reference_min_cover(universe, sets, exact_limit=24):
+    """The set-based minimum-cardinality branch-and-bound ``kind_cover``
+    ran before the bitset one: Python-set state, pivot and candidate
+    order recomputed with ``repr`` inside every sort key."""
+    if not universe:
+        return []
+    names = sorted(sets, key=repr)
+    useful = [n for n in names if sets[n] & universe]
+    if len(useful) > exact_limit:
+        return reference_greedy_unit_cover(universe, {n: sets[n] for n in useful})
+    best = reference_greedy_unit_cover(universe, {n: sets[n] for n in useful})
+    max_gain = max(len(sets[n] & universe) for n in useful)
+
+    def search(remaining, chosen):
+        nonlocal best
+        if not remaining:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        lower = (len(remaining) + max_gain - 1) // max_gain
+        if len(chosen) + lower >= len(best):
+            return
+        pivot = min(
+            remaining,
+            key=lambda e: (sum(1 for n in useful if e in sets[n]), repr(e)),
+        )
+        candidates = [n for n in useful if pivot in sets[n]]
+        candidates.sort(key=lambda n: (-len(sets[n] & remaining), repr(n)))
+        for name in candidates:
+            chosen.append(name)
+            search(remaining - sets[name], chosen)
+            chosen.pop()
+
+    search(set(universe), [])
+    return best
 
 
 def build_inputs(num_ops: int):
@@ -104,37 +174,35 @@ def kernel_entry(name, calls, reference_seconds, kernel_seconds, identical):
 
 
 def bench_max_chain(wcg, schedule, latencies, repeats: int) -> dict:
-    """Retire-pointer max_chain vs the quadratic reference DP."""
-    candidate_sets = [
-        wcg.ops_for_resource(r)
-        for r in wcg.resources
-        if wcg.ops_for_resource(r)
-    ]
+    """Bindselect's id-space chain kernel vs the quadratic reference DP."""
+    names = wcg.op_names
+    start = [schedule[n] for n in names]
+    latency = [latencies[n] for n in names]
+    masks = [m for m in wcg.ops_masks() if m]
+    name_sets = [[names[i] for i in set_bits(m)] for m in masks]
     identical = all(
-        max_chain(c, schedule, latencies)
+        [names[i] for i in max_chain(set_bits(m), start, latency)]
         == reference_max_chain(c, schedule, latencies)
-        for c in candidate_sets
+        for m, c in zip(masks, name_sets)
     )
     rounds = 5
     ref = best_of(
         lambda: [
             reference_max_chain(c, schedule, latencies)
             for _ in range(rounds)
-            for c in candidate_sets
+            for c in name_sets
         ],
         repeats,
     )
     fast = best_of(
         lambda: [
-            max_chain(c, schedule, latencies)
+            max_chain(set_bits(m), start, latency)
             for _ in range(rounds)
-            for c in candidate_sets
+            for m in masks
         ],
         repeats,
     )
-    return kernel_entry(
-        "max_chain", rounds * len(candidate_sets), ref, fast, identical
-    )
+    return kernel_entry("max_chain", rounds * len(masks), ref, fast, identical)
 
 
 def bench_cover_probe(problem, wcg, repeats: int) -> dict:
@@ -142,38 +210,90 @@ def bench_cover_probe(problem, wcg, repeats: int) -> dict:
     area_model = problem.area_model
     index = BindIndex(wcg, area_model)
     index.sync(wcg)
-    names = sorted(op.name for op in wcg.operations)
+    names = wcg.op_names
     # Sliding windows approximate the op subsets the grow step probes.
     windows = [
-        names[i:i + width]
+        list(range(i, i + width))
         for width in (2, 3, 5, 8)
         for i in range(0, max(1, len(names) - width), 2)
     ]
+    name_windows = [[names[i] for i in w] for w in windows]
+
+    def probe(ids):
+        mask = index.cover_mask(ids)
+        return index.resources[index.cheapest(mask)] if mask else None
+
     identical = all(
-        index.cheapest_from_mask(index.cover_mask(w))
-        == _cheapest_covering_resource(w, wcg, area_model)
-        for w in windows
+        probe(w) == reference_cheapest_covering(n, wcg, area_model)
+        for w, n in zip(windows, name_windows)
     )
     rounds = 40
     ref = best_of(
         lambda: [
-            _cheapest_covering_resource(w, wcg, area_model)
+            reference_cheapest_covering(n, wcg, area_model)
             for _ in range(rounds)
-            for w in windows
+            for n in name_windows
+        ],
+        repeats,
+    )
+    fast = best_of(
+        lambda: [probe(w) for _ in range(rounds) for w in windows], repeats
+    )
+    return kernel_entry(
+        "cover_probe", rounds * len(windows), ref, fast, identical
+    )
+
+
+def bench_kind_cover(wcg, repeats: int) -> dict:
+    """Bitset branch-and-bound kind_cover vs the set-based reference.
+
+    Inputs are the per-kind covers along a refinement trajectory: the
+    WCG is refined op by op (sorted names, while refinable), and every
+    fourth ``H`` state is kept.
+    """
+    states = [wcg.copy()]
+    trajectory = wcg.copy()
+    refined = 0
+    for name in trajectory.op_names:
+        while trajectory.can_refine(name):
+            trajectory.refine(name)
+            refined += 1
+            if refined % 4 == 0:
+                states.append(trajectory.copy())
+    cases = []
+    for state in states:
+        for kind in state.kinds():
+            universe = {
+                n for n in state.op_names if state.operation(n).resource_kind == kind
+            }
+            sets = {
+                r: set(state.ops_for_resource(r)) & universe
+                for r in state.resources
+                if r.kind == kind
+            }
+            cases.append((state, kind, universe, sets))
+    identical = all(
+        state.kind_cover(kind) == tuple(sorted(reference_min_cover(universe, sets)))
+        for state, kind, universe, sets in cases
+    )
+    rounds = 3
+    ref = best_of(
+        lambda: [
+            reference_min_cover(universe, sets)
+            for _ in range(rounds)
+            for _, _, universe, sets in cases
         ],
         repeats,
     )
     fast = best_of(
         lambda: [
-            index.cheapest_from_mask(index.cover_mask(w))
+            state.kind_cover(kind)
             for _ in range(rounds)
-            for w in windows
+            for state, kind, _, _ in cases
         ],
         repeats,
     )
-    return kernel_entry(
-        "cover_probe", rounds * len(windows), ref, fast, identical
-    )
+    return kernel_entry("kind_cover", rounds * len(cases), ref, fast, identical)
 
 
 def bench_tracker_ops(wcg, latencies, repeats: int) -> dict:
@@ -224,6 +344,7 @@ def main(argv=None) -> int:
         bench_max_chain(wcg, schedule, latencies, args.repeats),
         bench_cover_probe(problem, wcg, args.repeats),
         bench_tracker_ops(wcg, latencies, args.repeats),
+        bench_kind_cover(wcg, args.repeats),
     ]
     report = {
         "kind": "bench-micro",

@@ -19,7 +19,10 @@ Workload families (each exercises a different pass's reuse path):
 
 Each mode is timed best-of-``--repeats`` to suppress scheduler noise;
 the headline statistic is per-iteration solve time, which incremental
-recomputation must keep at or below scratch on every family.
+recomputation must keep at or below scratch on every family.  One more,
+untimed incremental run with ``trace=True`` records each family's
+``pass_share``: the share of solve time spent in each pass (bounds,
+schedule, bind, check, refine), summed from ``TraceEvent.pass_ms``.
 
 Run with::
 
@@ -71,6 +74,23 @@ def time_mode(problems, mode: str, repeats: int):
     return best, datapaths
 
 
+PASSES = ("bounds", "schedule", "bind", "check", "refine")
+
+
+def pass_shares(problems) -> dict:
+    """Share of incremental solve time per pass, from the solver's trace."""
+    totals = dict.fromkeys(PASSES, 0.0)
+    for _, problem in problems:
+        datapath = run_pipeline(
+            problem, DPAllocOptions(trace=True), mode="incremental"
+        )
+        for event in datapath.trace:
+            for name, ms in (event.pass_ms or {}).items():
+                totals[name] += ms
+    whole = sum(totals.values()) or 1.0
+    return {name: round(ms / whole, 4) for name, ms in totals.items()}
+
+
 def run_workload(name: str, problems, repeats: int) -> dict:
     """Scratch-vs-incremental timing and parity for one workload family."""
     scratch_seconds, scratch_dps = time_mode(problems, "scratch", repeats)
@@ -112,6 +132,7 @@ def run_workload(name: str, problems, repeats: int) -> dict:
             1000 * incr_seconds / iterations, 4
         ),
         "speedup": round(scratch_seconds / max(incr_seconds, 1e-9), 3),
+        "pass_share": pass_shares(problems),
     }
 
 

@@ -24,8 +24,15 @@ resource type compatible (via current ``H`` edges) with all members;
 ``H`` membership guarantees the resource is never slower than the latency
 upper bounds used by the scheduler, so the schedule remains valid.
 
+The whole pass runs in one dense-id space (:class:`BindIndex`): ops are
+ids in sorted-name order, resource types are ids in ``wcg.resources``
+order, and the schedule arrives as flat per-id int lists, so the greedy
+loop, grow/merge and :func:`max_chain` never hash a name or a
+:class:`ResourceType`.  Every id order decodes to the name order the
+tie-breaks were defined on, so the binding is byte-identical.
+
 **Incremental Bindselect** (see ``docs/architecture.md``): the max-chain
-kernel is a pure function of the candidate tuple and its members'
+kernel is a pure function of the candidate set and its members'
 ``(start, L_o)`` values, so the solver pipeline persists a
 :class:`ChainCache` across iterations and replays unchanged chains
 verbatim, invalidating only chains touching operations whose schedule
@@ -38,11 +45,22 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple, TypeVar
 
 from ..resources.area import AreaModel
 from ..resources.types import ResourceType
+from ..utils.covering import set_bits
 from .wcg import WordlengthCompatibilityGraph
+
+K = TypeVar("K", str, int)
+_Key = TypeVar("_Key", contravariant=True)
+
+
+class IntLookup(Protocol[_Key]):
+    """A name-keyed mapping or a per-id list of ints."""
+
+    def __getitem__(self, key: _Key, /) -> int: ...
+
 
 __all__ = [
     "BindIndex",
@@ -113,24 +131,9 @@ class Binding:
         return len(self.cliques)
 
 
-def _is_chain(
-    ops: Sequence[str],
-    schedule: Mapping[str, int],
-    latencies: Mapping[str, int],
-) -> bool:
-    """Whether the ops are pairwise time-compatible (form a chain in C)."""
-    ordered = sorted(ops, key=lambda n: (schedule[n], n))
-    for a, b in zip(ordered, ordered[1:]):
-        if schedule[a] + latencies[a] > schedule[b]:
-            return False
-    return True
-
-
 def max_chain(
-    candidates: Sequence[str],
-    schedule: Mapping[str, int],
-    latencies: Mapping[str, int],
-) -> List[str]:
+    candidates: Sequence[K], schedule: IntLookup[K], latencies: IntLookup[K]
+) -> List[K]:
     """Maximum chain (pairwise sequential ops) among ``candidates``.
 
     The inner kernel of Algorithm Bindselect (paper section 2.3): each
@@ -139,46 +142,52 @@ def max_chain(
     compatibility relation "finishes no later than the other starts" is
     an interval order, so ``G'`` is transitively oriented and a maximum
     clique is a maximum *chain* (Golumbic [11]), computed here by
-    dynamic programming over ops sorted by start time.  Deterministic:
-    ties prefer lexicographically smaller predecessors, and the result
-    is a pure function of ``(candidates, schedule|candidates,
-    latencies|candidates)`` -- the property :class:`ChainCache` relies
-    on to replay chains verbatim across solver iterations.
+    dynamic programming over ops sorted by ``(start, key)``.
+
+    Keys are operation names with name-keyed mappings, or -- as
+    :func:`bindselect` calls it -- dense op ids (sorted-name order) with
+    flat per-id ``start``/``L_o`` lists; both orders agree, so both give
+    the same chain.  Deterministic: ties prefer smaller predecessors,
+    and the result, in ``(start, key)`` order, is a pure function of
+    ``(candidates, schedule|candidates, latencies|candidates)`` -- the
+    property :class:`ChainCache` relies on to replay chains verbatim
+    across solver iterations.
     """
     if not candidates:
         return []
-    ordered = sorted(candidates, key=lambda n: (schedule[n], n))
+    # Stable sort on start over ascending keys == sort on (start, key).
+    ordered = sorted(sorted(candidates), key=schedule.__getitem__)
     k = len(ordered)
     best_len = [1] * k
     best_pred = [-1] * k
     # Retire-pointer formulation of the chain DP, O(k log k): process
-    # ops in (start, name) order; an earlier op becomes *retired* once
+    # ops in (start, key) order; an earlier op becomes *retired* once
     # its finish time is <= the current start, and retired ops are
     # exactly the DP's eligible predecessors (starts are nondecreasing,
     # so retirement is monotone).  A running (max length, smallest
     # ordered index attaining it) over the retired set reproduces the
-    # quadratic scan's first-strictly-greater predecessor choice, so
-    # chains -- and the ChainCache entries built from them -- are
-    # byte-identical to the reference DP.
+    # quadratic scan's first-strictly-greater predecessor choice.
     retire: List[Tuple[int, int]] = []  # (finish, ordered index) min-heap
     run_max = 0
     run_arg = -1
-    for i, name in enumerate(ordered):
-        start = schedule[name]
+    for i, key in enumerate(ordered):
+        start = schedule[key]
         while retire and retire[0][0] <= start:
-            _, j = heapq.heappop(retire)
+            j = heapq.heappop(retire)[1]
             if best_len[j] > run_max or (best_len[j] == run_max and j < run_arg):
                 run_max = best_len[j]
                 run_arg = j
         if run_max:
             best_len[i] = run_max + 1
             best_pred[i] = run_arg
-        heapq.heappush(retire, (start + latencies[name], i))
+        heapq.heappush(retire, (start + latencies[key], i))
     tail = 0
     for i in range(1, k):
-        if (best_len[i], ordered[i]) > (best_len[tail], ordered[tail]):
+        if best_len[i] > best_len[tail] or (
+            best_len[i] == best_len[tail] and ordered[i] > ordered[tail]
+        ):
             tail = i
-    chain: List[str] = []
+    chain: List[K] = []
     cursor = tail
     while cursor >= 0:
         chain.append(ordered[cursor])
@@ -190,16 +199,13 @@ def max_chain(
 class BindIndex:
     """Dense-id interning of ops and resources for array-shaped Bindselect.
 
-    Static per solve: operation names are interned to dense ids in
-    sorted-name order (so a bitset over op ids enumerates names in the
-    same order the reference implementation scanned them), resources
-    keep the ``wcg.resources`` greedy iteration order, and each
-    resource's area is captured both in *cheap order* -- sorted by
-    ``(area, resource)``, so the lowest set bit of a cheap-order
-    resource bitset IS the cheapest covering resource -- and as an
+    Static per solve: op ids are the WCG's (sorted-name order), resource
+    ids follow ``wcg.resources`` (the greedy iteration order), and each
+    resource's area is captured both in *cheap order* -- ``cheap_rid``
+    lists resource ids by ``(area, resource)``, so the lowest set bit of
+    a cheap-order bitset IS the cheapest covering resource -- and as an
     exact integer ratio ``(num, den)`` for the greedy ``|clique|/cost``
-    comparison (``float.as_integer_ratio`` is exact for every float, so
-    the comparison is exact whatever the area model returns).
+    comparison (exact whatever floats the area model returns).
 
     Dynamic per ``H`` state (:meth:`sync`, keyed on the monotone
     ``wcg.edge_count()``): per-resource compatible-op bitsets over op
@@ -211,23 +217,24 @@ class BindIndex:
     def __init__(
         self, wcg: WordlengthCompatibilityGraph, area_model: AreaModel
     ) -> None:
-        self.op_names: Tuple[str, ...] = tuple(
-            sorted(op.name for op in wcg.operations)
-        )
-        self.op_id: Dict[str, int] = {n: i for i, n in enumerate(self.op_names)}
+        self.op_names: Tuple[str, ...] = wcg.op_names
         self.resources: Tuple[ResourceType, ...] = wcg.resources
-        self.cheap_order: Tuple[ResourceType, ...] = tuple(
-            sorted(self.resources, key=lambda r: (area_model.area(r), r))
+        areas = [area_model.area(r) for r in self.resources]
+        self.cheap_rid: List[int] = sorted(
+            range(len(self.resources)),
+            key=lambda rid: (areas[rid], self.resources[rid]),
         )
-        self.cost_ratio: Dict[ResourceType, Tuple[int, int]] = {
-            r: area_model.area(r).as_integer_ratio() for r in self.resources
-        }
-        self._cheap_bit: Dict[ResourceType, int] = {
-            r: 1 << i for i, r in enumerate(self.cheap_order)
-        }
-        # H-dependent bitsets, rebuilt by sync() when the edge set moves.
-        self.ops_mask: Dict[ResourceType, int] = {}
-        self.res_mask: List[int] = []
+        self.cost_ratio: List[Tuple[int, int]] = [
+            area.as_integer_ratio() for area in areas
+        ]
+        self._rank_bit = [0] * len(self.resources)
+        for rank, rid in enumerate(self.cheap_rid):
+            self._rank_bit[rid] = 1 << rank
+        # H-dependent bitsets, updated by sync() when the edge set moves;
+        # _h is the per-op H (resource-id bitsets) they were built from.
+        self.ops_mask: List[int] = []
+        self.res_mask: List[int] = [0] * len(self.op_names)
+        self._h: List[int] = [-1] * len(self.op_names)
         self._h_version: int = -1
 
     def sync(self, wcg: WordlengthCompatibilityGraph) -> None:
@@ -235,85 +242,59 @@ class BindIndex:
 
         Refinement only ever *deletes* ``H`` edges, so along one solve's
         trajectory the monotone ``edge_count()`` identifies the edge set
-        exactly -- an equal count means nothing moved.
+        exactly -- an equal count means nothing moved.  Only the ops
+        whose ``H`` neighbourhood changed get their cover bitset rebuilt.
         """
         version = wcg.edge_count()
         if version == self._h_version:
             return
         self._h_version = version
-        res_mask = [0] * len(self.op_names)
-        for resource in self.resources:
-            mask = 0
-            rbit = self._cheap_bit[resource]
-            for name in wcg.ops_for_resource(resource):
-                i = self.op_id[name]
-                mask |= 1 << i
-                res_mask[i] |= rbit
-            self.ops_mask[resource] = mask
-        self.res_mask = res_mask
+        self.ops_mask = wcg.ops_masks()
+        rank_bit = self._rank_bit
+        for oid, h in enumerate(wcg.h_masks()):
+            if h != self._h[oid]:
+                self._h[oid] = h
+                self.res_mask[oid] = sum(rank_bit[rid] for rid in set_bits(h))
 
-    def names_from_mask(self, mask: int) -> List[str]:
-        """Decode an op-id bitset to names, in sorted-name order."""
-        names = self.op_names
-        out: List[str] = []
-        while mask:
-            low = mask & -mask
-            out.append(names[low.bit_length() - 1])
-            mask ^= low
-        return out
-
-    def cover_mask(self, ops: Sequence[str]) -> int:
-        """Cheap-order bitset of resources covering every op (Eqn. 4)."""
+    def cover_mask(self, ops: Iterable[int]) -> int:
+        """Cheap-order bitset of resources covering every op id (Eqn. 4)."""
         res_mask = self.res_mask
-        op_id = self.op_id
         mask = -1
-        for name in ops:
-            mask &= res_mask[op_id[name]]
+        for oid in ops:
+            mask &= res_mask[oid]
             if not mask:
                 return 0
         return mask
 
-    def cheapest_from_mask(self, mask: int) -> Optional[ResourceType]:
-        """Cheapest resource in a cheap-order bitset (its lowest set bit)."""
-        if not mask:
-            return None
-        return self.cheap_order[(mask & -mask).bit_length() - 1]
+    def cheapest(self, mask: int) -> int:
+        """Id of the cheapest resource in a non-empty cheap-order bitset."""
+        return self.cheap_rid[(mask & -mask).bit_length() - 1]
 
 
 class ChainCache:
     """Memoised :func:`max_chain` results for incremental Bindselect.
 
-    A chain is a pure function of the candidate tuple and the
-    candidates' ``(start, L_o)`` values, so a cached chain may be
-    replayed *verbatim* whenever those inputs recur -- both across the
-    greedy rounds of one ``bindselect`` call (a selected clique leaves
-    most other resources' candidate sets untouched) and across outer
-    DPAlloc iterations (a refinement changes the schedule region and
-    candidate sets of only the affected cone; see
-    :class:`repro.core.scheduling.ScheduleWarmStart` for the scheduling
-    side of that argument).
+    One store, keyed by resource id and then by the candidate op-id
+    bitset; each entry is the chain as a tuple of op ids.  A chain is a
+    pure function of the candidate set and the candidates' ``(start,
+    L_o)`` values, so a cached chain may be replayed *verbatim* whenever
+    those inputs recur: across the greedy rounds of one ``bindselect``
+    call, and across outer DPAlloc iterations (a refinement moves only
+    the affected cone; see :class:`repro.core.scheduling.ScheduleWarmStart`).
 
-    Consistency contract: :meth:`refresh` must be called with the
-    current schedule and latency bounds before each ``bindselect`` call.
-    It diffs the per-op ``(start, L_o)`` snapshot taken at the previous
-    refresh and evicts exactly the entries whose member ops moved;
-    candidate-set changes need no eviction because the candidate tuple
-    *is* the lookup key.  Cached chains are therefore byte-identical to
-    a from-scratch ``max_chain`` -- the ``REPRO_SOLVER=scratch`` parity
-    guarantee extends to incremental Bindselect unchanged.
+    Consistency contract: ``bindselect`` calls :meth:`refresh` with the
+    current per-id ``start``/``L_o`` lists, which evicts exactly the
+    entries whose member ops moved; a changed candidate set needs no
+    eviction because the bitset *is* the key.  Cached chains therefore
+    equal a from-scratch ``max_chain`` -- the ``REPRO_SOLVER=scratch``
+    parity guarantee extends to incremental Bindselect unchanged.
     """
 
     def __init__(self, max_entries_per_resource: int = 64) -> None:
-        self._chains: Dict[
-            ResourceType, Dict[Tuple[str, ...], Tuple[str, ...]]
-        ] = {}
-        # Mask-keyed fast path (key = uncovered-candidate op-id bitset
-        # from the BindIndex); lives beside the name-keyed store so the
-        # name-based API keeps working without an index.
-        self._mask_chains: Dict[ResourceType, Dict[int, Tuple[str, ...]]] = {}
+        self._chains: Dict[int, Dict[int, Tuple[int, ...]]] = {}
         self._index: Optional[BindIndex] = None
-        self._starts: Dict[str, int] = {}
-        self._latencies: Dict[str, int] = {}
+        self._start: Sequence[int] = ()
+        self._latency: Sequence[int] = ()
         self._max_entries = max_entries_per_resource
         self.hits = 0
         self.misses = 0
@@ -334,154 +315,85 @@ class ChainCache:
         self._index.sync(wcg)
         return self._index
 
-    def refresh(
-        self,
-        schedule: Mapping[str, int],
-        latencies: Mapping[str, int],
-        names: Sequence[str],
-    ) -> int:
+    def refresh(self, start: Sequence[int], latency: Sequence[int]) -> int:
         """Evict entries whose ops' ``(start, L_o)`` changed; resnapshot.
 
-        Returns the number of evicted entries (for diagnostics).
+        ``start`` and ``latency`` are per op id.  Returns the number of
+        evicted entries (for diagnostics).
         """
-        changed = {
-            n
-            for n in names
-            if self._starts.get(n) != schedule[n]
-            or self._latencies.get(n) != latencies[n]
-        }
+        changed = 0
+        for oid, (old_s, old_l, s, lat) in enumerate(
+            zip(self._start, self._latency, start, latency)
+        ):
+            if old_s != s or old_l != lat:
+                changed |= 1 << oid
         dropped = 0
         if changed:
             for chains in self._chains.values():
-                stale = [key for key in chains if not changed.isdisjoint(key)]
+                stale = [key for key in chains if key & changed]
                 for key in stale:
                     del chains[key]
                 dropped += len(stale)
-            if self._index is not None and self._mask_chains:
-                changed_mask = 0
-                # reprolint: disable=RL001(order-insensitive: bitwise OR commutes)
-                for n in changed:
-                    changed_mask |= 1 << self._index.op_id[n]
-                for mask_chains in self._mask_chains.values():
-                    stale_masks = [key for key in mask_chains if key & changed_mask]
-                    for key in stale_masks:
-                        del mask_chains[key]
-                    dropped += len(stale_masks)
-        self._starts = {n: schedule[n] for n in names}
-        self._latencies = {n: latencies[n] for n in names}
+        self._start = list(start)
+        self._latency = list(latency)
         self.evicted += dropped
         return dropped
 
     def chain(
         self,
-        resource: ResourceType,
-        candidates: Sequence[str],
-        schedule: Mapping[str, int],
-        latencies: Mapping[str, int],
-    ) -> List[str]:
-        """The max chain for ``candidates`` on ``resource``, memoised."""
-        key = tuple(candidates)
-        chains = self._chains.setdefault(resource, {})
-        cached = chains.get(key)
+        rid: int,
+        cand_mask: int,
+        start: Sequence[int],
+        latency: Sequence[int],
+    ) -> Tuple[int, ...]:
+        """The max chain of op ids in ``cand_mask`` on resource ``rid``."""
+        chains = self._chains.get(rid)
+        if chains is None:
+            chains = self._chains[rid] = {}
+        cached = chains.get(cand_mask)
         if cached is not None:
             self.hits += 1
             # LRU: re-append so capacity eviction drops cold keys, not
             # the hot full-candidate-set chains that recur every round.
-            chains[key] = chains.pop(key)
-            return list(cached)
+            chains[cand_mask] = chains.pop(cand_mask)
+            return cached
         self.misses += 1
-        result = max_chain(candidates, schedule, latencies)
+        result = tuple(max_chain(set_bits(cand_mask), start, latency))
         while len(chains) >= self._max_entries:
             del chains[next(iter(chains))]  # least recently used
             self.evicted += 1
-        chains[key] = tuple(result)
+        chains[cand_mask] = result
         return result
-
-    def chain_for_mask(
-        self,
-        resource: ResourceType,
-        cand_mask: int,
-        index: BindIndex,
-        schedule: Mapping[str, int],
-        latencies: Mapping[str, int],
-    ) -> List[str]:
-        """Mask-keyed :meth:`chain`: the key is the candidate op-id bitset.
-
-        A bitset over ids in sorted-name order decodes to exactly the
-        candidate tuple the name-keyed path would use, so the two paths
-        memoise the same pure function; this one skips building the
-        tuple (and hashing all its strings) on a hit.
-        """
-        chains = self._mask_chains.setdefault(resource, {})
-        cached = chains.get(cand_mask)
-        if cached is not None:
-            self.hits += 1
-            chains[cand_mask] = chains.pop(cand_mask)  # LRU re-append
-            return list(cached)
-        self.misses += 1
-        result = max_chain(index.names_from_mask(cand_mask), schedule, latencies)
-        while len(chains) >= self._max_entries:
-            del chains[next(iter(chains))]  # least recently used
-            self.evicted += 1
-        chains[cand_mask] = tuple(result)
-        return result
-
-
-def _cheapest_covering_resource(
-    ops: Sequence[str],
-    wcg: WordlengthCompatibilityGraph,
-    area_model: AreaModel,
-) -> Optional[ResourceType]:
-    """Cheapest resource with a current H edge to every op (Eqn. 4).
-
-    Reference formulation, kept for tests and one-off callers; the
-    Bindselect hot path uses :meth:`BindIndex.cover_mask` +
-    :meth:`BindIndex.cheapest_from_mask`, which computes the same
-    ``min`` over the same candidate set (cheap order is exactly
-    ``(area, resource)`` order).
-    """
-    candidates: Optional[Set[ResourceType]] = None
-    for name in ops:
-        compatible = set(wcg.compatible_resources(name))
-        candidates = compatible if candidates is None else candidates & compatible
-        if not candidates:
-            return None
-    assert candidates is not None
-    return min(candidates, key=lambda r: (area_model.area(r), r))
 
 
 def _merge_if_chain(
-    left: Sequence[str],
-    right: Sequence[str],
-    schedule: Mapping[str, int],
-    latencies: Mapping[str, int],
-) -> Optional[List[str]]:
-    """Merge two ``(start, name)``-sorted chains; None if not a chain.
+    left: Sequence[int],
+    right: Sequence[int],
+    key: Sequence[int],
+    start: Sequence[int],
+    finish: Sequence[int],
+) -> Optional[List[int]]:
+    """Merge two chains of op ids sorted by ``key``; None if not a chain.
 
-    Equivalent to sorting the concatenation and running the adjacent
-    pairwise-compatibility check (:func:`_is_chain`), but linear in the
-    union size since both inputs are already sorted.
+    ``key[o]`` orders ops by ``(start, id)``.  Equivalent to sorting the
+    concatenation and checking each adjacent pair is time-compatible,
+    but linear in the union size since both inputs are already sorted.
     """
-    merged: List[str] = []
+    merged: List[int] = []
     i = j = 0
-    prev: Optional[str] = None
-    while i < len(left) or j < len(right):
-        if j >= len(right):
-            name = left[i]
-            i += 1
-        elif i >= len(left):
-            name = right[j]
-            j += 1
-        elif (schedule[left[i]], left[i]) <= (schedule[right[j]], right[j]):
-            name = left[i]
+    n_left, n_right = len(left), len(right)
+    prev_finish: Optional[int] = None
+    while i < n_left or j < n_right:
+        if j >= n_right or (i < n_left and key[left[i]] <= key[right[j]]):
+            op = left[i]
             i += 1
         else:
-            name = right[j]
+            op = right[j]
             j += 1
-        if prev is not None and schedule[prev] + latencies[prev] > schedule[name]:
+        if prev_finish is not None and prev_finish > start[op]:
             return None
-        merged.append(name)
-        prev = name
+        merged.append(op)
+        prev_finish = finish[op]
     return merged
 
 
@@ -514,9 +426,9 @@ def bindselect(
         shrink: enable the final cheapest-cover wordlength selection.
         chain_cache: optional :class:`ChainCache` supplying memoised
             max chains (the solver pipeline's incremental Bindselect).
-            The caller must have ``refresh``-ed it against ``schedule``
-            and ``latencies``; results are byte-identical with or
-            without it.
+            Bindselect refreshes it against ``schedule`` and
+            ``latencies``; results are byte-identical with or without
+            it.
 
     Returns:
         a :class:`Binding` covering every operation exactly once.
@@ -526,13 +438,23 @@ def bindselect(
     else:
         index = BindIndex(wcg, area_model)
         index.sync(wcg)
-    op_id = index.op_id
+    names = index.op_names
+    n = len(names)
+    # Flat per-op-id inputs, built once: start, L_o, finish, and the
+    # (start, id) order as one int.
+    start = [schedule[name] for name in names]
+    latency = [latencies[name] for name in names]
+    finish = [s + lat for s, lat in zip(start, latency)]
+    key = [s * n + oid for oid, s in enumerate(start)]
+    if chain_cache is not None:
+        chain_cache.refresh(start, latency)
+    ops_mask = index.ops_mask
     cost_ratio = index.cost_ratio
-    uncovered = (1 << len(index.op_names)) - 1
-    # Selected cliques carry their covering-resource bitset so the grow
-    # step probes (clique, prev) pairs with one AND instead of
-    # re-deriving compatible_resources per member per pair.
-    selected: List[Tuple[ResourceType, List[str], int]] = []
+    uncovered = (1 << n) - 1
+    # Selected cliques: (resource id, op ids in (start, id) order, the
+    # cheap-order bitset of resources covering them) -- the grow step
+    # probes (clique, prev) pairs with one AND.
+    selected: List[Tuple[int, Tuple[int, ...], int]] = []
 
     while uncovered:
         # Exact greedy criterion: maximise |chain| / cost, tie-break on
@@ -540,68 +462,63 @@ def bindselect(
         # ratio comparison cross-multiplies to integers, so ties can
         # never depend on float rounding (satisfying the parity
         # contract for any area magnitudes).
-        best: Optional[Tuple[int, int, int, ResourceType, List[str]]] = None
-        for resource in index.resources:
-            cand_mask = index.ops_mask[resource] & uncovered
+        best: Optional[Tuple[int, int, int, int, Sequence[int]]] = None
+        for rid, mask in enumerate(ops_mask):
+            cand_mask = mask & uncovered
             if not cand_mask:
                 continue
             if chain_cache is not None:
-                chain = chain_cache.chain_for_mask(
-                    resource, cand_mask, index, schedule, latencies
+                chain: Sequence[int] = chain_cache.chain(
+                    rid, cand_mask, start, latency
                 )
             else:
-                chain = max_chain(
-                    index.names_from_mask(cand_mask), schedule, latencies
-                )
-            num, den = cost_ratio[resource]
+                chain = max_chain(set_bits(cand_mask), start, latency)
+            num, den = cost_ratio[rid]
             if best is None:
-                best = (len(chain), num, den, resource, chain)
+                best = (len(chain), num, den, rid, chain)
                 continue
             b_len, b_num, b_den = best[0], best[1], best[2]
             lhs = len(chain) * den * b_num  # ratio = len * den / num
             rhs = b_len * b_den * num
             if lhs > rhs or (lhs == rhs and num * b_den < b_num * den):
-                best = (len(chain), num, den, resource, chain)
+                best = (len(chain), num, den, rid, chain)
         if best is None:
-            missing = index.names_from_mask(uncovered)
+            missing = [names[oid] for oid in set_bits(uncovered)]
             raise RuntimeError(f"operations without any compatible resource: {missing}")
-        _, _, _, resource, clique = best
+        _, _, _, rid, clique = best
         clique_rmask = index.cover_mask(clique)
-        for name in clique:
-            uncovered &= ~(1 << op_id[name])
+        for oid in clique:
+            uncovered &= ~(1 << oid)
 
         if grow:
-            survivors: List[Tuple[ResourceType, List[str], int]] = []
-            for prev_resource, prev_ops, prev_rmask in selected:
-                union_rmask = clique_rmask & prev_rmask
+            survivors: List[Tuple[int, Tuple[int, ...], int]] = []
+            for prev in selected:
+                union_rmask = clique_rmask & prev[2]
                 merged = (
-                    _merge_if_chain(clique, prev_ops, schedule, latencies)
+                    _merge_if_chain(clique, prev[1], key, start, finish)
                     if union_rmask
                     else None
                 )
                 if merged is not None:
                     clique = merged
                     clique_rmask = union_rmask
-                    resource = index.cheap_order[
-                        (union_rmask & -union_rmask).bit_length() - 1
-                    ]
+                    rid = index.cheapest(union_rmask)
                 else:
-                    survivors.append((prev_resource, prev_ops, prev_rmask))
+                    survivors.append(prev)
             selected = survivors
-        selected.append(
-            (resource, sorted(clique, key=lambda n: (schedule[n], n)), clique_rmask)
-        )
+        # Chains and merges are already in (start, id) order.
+        selected.append((rid, tuple(clique), clique_rmask))
 
     if shrink:
         selected = [
-            (index.cheapest_from_mask(rmask) or resource, ops, rmask)
-            for resource, ops, rmask in selected
+            (index.cheapest(rmask), ops, rmask) for _, ops, rmask in selected
         ]
 
+    resources = index.resources
     cliques = tuple(
-        BoundClique(resource, tuple(ops))
-        for resource, ops, _ in sorted(
-            selected, key=lambda item: (schedule[item[1][0]], item[1])
+        BoundClique(resources[rid], tuple(names[oid] for oid in ops))
+        for rid, ops, _ in sorted(
+            selected, key=lambda item: (start[item[1][0]], item[1])
         )
     )
     return Binding(cliques)

@@ -98,37 +98,34 @@ class Eqn3Tracker:
         constraints: Mapping[str, int],
         scheduling_set: Optional[Tuple[ResourceType, ...]] = None,
     ) -> None:
-        self._constraints = dict(constraints)
         self._scheduling_set = (
             scheduling_set if scheduling_set is not None else wcg.scheduling_set()
         )
-        member_id = {s: i for i, s in enumerate(self._scheduling_set)}
-        # S(o) per op, and the shared denominator D = lcm over |S(o)|.
-        self._members_of: Dict[str, Tuple[ResourceType, ...]] = {}
-        for op in wcg.operations:
-            members = wcg.members_covering(op.name, self._scheduling_set)
-            if not members:
+        members_set = self._scheduling_set
+        # S(o) per op as member ids, built from each member's O(s) and
+        # visited in sorted member order, so each S(o) comes out sorted.
+        ids_of: Dict[str, List[int]] = {op.name: [] for op in wcg.operations}
+        for m in sorted(range(len(members_set)), key=members_set.__getitem__):
+            for name in wcg.ops_for_resource(members_set[m]):
+                ids_of[name].append(m)
+        for name, ids in ids_of.items():
+            if not ids:
                 raise InfeasibleError(
-                    f"operation {op.name!r} not covered by the scheduling set"
+                    f"operation {name!r} not covered by the scheduling set"
                 )
-            self._members_of[op.name] = members
+        self._member_ids_of = {name: tuple(ids) for name, ids in ids_of.items()}
+        # The shared denominator D = lcm over |S(o)|.
         self._denominator = math.lcm(
-            *(len(m) for m in self._members_of.values())
-        ) if self._members_of else 1
+            *(len(ids) for ids in ids_of.values())
+        ) if ids_of else 1
         d = self._denominator
         # Scaled equal shares (section 2.2): share(o) = D / |S(o)|, exact.
         self._share_scaled: Dict[str, int] = {
-            name: d // len(members)
-            for name, members in self._members_of.items()
-        }
-        self._member_ids_of: Dict[str, Tuple[int, ...]] = {
-            name: tuple(member_id[s] for s in members)
-            for name, members in self._members_of.items()
+            name: d // len(ids) for name, ids in ids_of.items()
         }
         # H edges never cross kinds, so an op's kind is its members' kind.
         self._kind_of_op: Dict[str, str] = {
-            name: members[0].kind
-            for name, members in self._members_of.items()
+            name: members_set[ids[0]].kind for name, ids in ids_of.items()
         }
         # Per member: flat scaled-integer load vector (index = control
         # step, grown on demand) and its running peak; per kind: the
@@ -139,7 +136,7 @@ class Eqn3Tracker:
             s.kind: 0 for s in self._scheduling_set
         }
         self._limit_scaled: Dict[str, int] = {
-            kind: limit * d for kind, limit in self._constraints.items()
+            kind: limit * d for kind, limit in constraints.items()
         }
 
     @property
@@ -151,15 +148,9 @@ class Eqn3Tracker:
         """The shared denominator ``D = lcm(|S(o)|)`` of every share."""
         return self._denominator
 
-    def members_of(self, name: str) -> Tuple[ResourceType, ...]:
-        return self._members_of[name]
-
     def share(self, name: str) -> Fraction:
         """The op's equal share ``1/|S(o)|`` (exact)."""
         return Fraction(self._share_scaled[name], self._denominator)
-
-    def _limit(self, kind: str) -> Optional[int]:
-        return self._constraints.get(kind)
 
     def _hypothetical_scaled(self, name: str, start: int, duration: int) -> int:
         """Scaled LHS of Eqn. 3 for the op's kind if placed at ``start``.
@@ -276,9 +267,6 @@ class Eqn3TrackerReference:
     @property
     def scheduling_set(self) -> Tuple[ResourceType, ...]:
         return self._scheduling_set
-
-    def members_of(self, name: str) -> Tuple[ResourceType, ...]:
-        return self._members_of[name]
 
     def share(self, name: str) -> Fraction:
         """The op's equal share ``1/|S(o)|``."""

@@ -528,24 +528,21 @@ class BindPass(Pass):
     the per-resource max-chain computation, is a pure function of the
     candidate tuple and its members' ``(start, L_o)`` values.
     Incremental: a persistent :class:`ChainCache` replays chains whose
-    inputs did not move; ``refresh`` evicts exactly the chains touching
-    operations the last refinement's schedule/bounds diff actually
-    changed.  Scratch: every chain is recomputed.  Both are
-    byte-identical by construction.
+    inputs did not move; Bindselect's ``refresh`` evicts exactly the
+    chains touching operations the last refinement's schedule/bounds
+    diff actually changed.  Scratch: every chain is recomputed.  Both
+    are byte-identical by construction.
     """
 
     name = "bind"
     reads = frozenset({
-        "chain_cache", "names", "options", "problem", "schedule",
-        "upper_bounds", "wcg",
+        "chain_cache", "options", "problem", "schedule", "upper_bounds",
+        "wcg",
     })
     writes = frozenset({"binding", "chain_cache"})
 
     def run(self, state: SolverState) -> None:
         assert state.schedule is not None and state.upper_bounds is not None
-        cache = state.chain_cache
-        if cache is not None:
-            cache.refresh(state.schedule, state.upper_bounds, state.names)
         state.binding = bindselect(
             state.wcg,
             state.schedule,
@@ -553,7 +550,7 @@ class BindPass(Pass):
             state.problem.area_model,
             grow=state.options.grow,
             shrink=state.options.shrink,
-            chain_cache=cache,
+            chain_cache=state.chain_cache,
         )
 
 

@@ -27,13 +27,22 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tupl
 from ..ir.ops import Operation
 from ..resources.latency import LatencyModel
 from ..resources.types import ResourceType
-from ..utils.covering import min_cardinality_cover
+from ..utils.covering import cover_bits, set_bits
 
 __all__ = ["WordlengthCompatibilityGraph"]
 
 
 class WordlengthCompatibilityGraph:
-    """Operations, resource types, and the mutable ``H`` edge set."""
+    """Operations, resource types, and the mutable ``H`` edge set.
+
+    Inside, the graph lives in one dense-id space: operations are ids in
+    sorted-name order (:attr:`op_names`), resource types are ids in
+    :attr:`resources` order (itself sorted), and ``H`` is stored twice as
+    bitsets -- per op over resource ids and per resource over op ids --
+    so no hot path hashes a :class:`ResourceType`.  Decoding a bitset in
+    ascending bit order yields names and types in sorted order, so every
+    public accessor returns exactly what a name-keyed store would.
+    """
 
     def __init__(
         self,
@@ -45,39 +54,57 @@ class WordlengthCompatibilityGraph:
         self._ops: Dict[str, Operation] = {op.name: op for op in ops}
         self._resources: Tuple[ResourceType, ...] = tuple(sorted(set(resources)))
         self._latency_model = latency_model
-        self._latency_cache: Dict[ResourceType, int] = {
-            r: latency_model.latency(r) for r in self._resources
+        self._names: Tuple[str, ...] = tuple(sorted(self._ops))
+        self._op_id: Dict[str, int] = {n: i for i, n in enumerate(self._names)}
+        self._res_id: Dict[ResourceType, int] = {
+            r: i for i, r in enumerate(self._resources)
         }
+        self._lat: List[int] = [latency_model.latency(r) for r in self._resources]
 
-        if h_edges is None:
-            self._h: Dict[str, Set[ResourceType]] = {
-                name: {r for r in self._resources if r.covers(op)}
-                for name, op in self._ops.items()
-            }
-        else:
-            self._h = {
-                name: set(h_edges.get(name, ())) for name in self._ops
-            }
-        for name, compatible in self._h.items():
-            if not compatible:
-                raise ValueError(
-                    f"operation {name!r} has no compatible resource type"
-                )
-            for r in compatible:
-                if not r.covers(self._ops[name]):
-                    raise ValueError(f"edge {{{name}, {r}}} is not a coverage edge")
-        # Reverse H index (resource -> op names), maintained under
-        # refinement so O(r) lookups never rescan the whole edge set.
-        self._ops_by_resource: Dict[ResourceType, Set[str]] = {
-            r: set() for r in self._resources
-        }
-        for name, compatible in self._h.items():
-            for r in compatible:
-                self._ops_by_resource[r].add(name)
-        # Sorted-neighbourhood caches; refinement drops the refined
-        # op's entry (and its victims' reverse entries) only.
-        self._sorted_h: Dict[str, Tuple[ResourceType, ...]] = {}
-        self._sorted_ops: Dict[ResourceType, Tuple[str, ...]] = {}
+        if h_edges is not None:
+            unknown = sorted(set(h_edges) - set(self._ops))
+            if unknown:
+                raise ValueError(f"h_edges name unknown operations {unknown}")
+        # H per op id, as a bitset over resource ids.
+        h_of: Dict[str, int] = {}
+        for name, op in self._ops.items():
+            mask = 0
+            if h_edges is None:
+                for rid, r in enumerate(self._resources):
+                    if r.covers(op):
+                        mask |= 1 << rid
+            else:
+                for r in h_edges.get(name, ()):
+                    rid = self._res_id.get(r)
+                    if rid is None:
+                        raise ValueError(
+                            f"edge {{{name}, {r}}} names a resource type "
+                            f"that is not in the resource set"
+                        )
+                    if not r.covers(op):
+                        raise ValueError(f"edge {{{name}, {r}}} is not a coverage edge")
+                    mask |= 1 << rid
+            if not mask:
+                raise ValueError(f"operation {name!r} has no compatible resource type")
+            h_of[name] = mask
+        self._h: List[int] = [h_of[name] for name in self._names]
+        # Reverse H (per resource id, a bitset over op ids), maintained
+        # under refinement so O(r) lookups never rescan the edge set.
+        self._ops_of: List[int] = [0] * len(self._resources)
+        for oid, mask in enumerate(self._h):
+            for rid in set_bits(mask):
+                self._ops_of[rid] |= 1 << oid
+        self._edges = sum(mask.bit_count() for mask in self._h)
+        # Decoded O(r) tuples; refine() drops the entries it changes.
+        self._ops_memo: List[Optional[Tuple[str, ...]]] = [None] * len(self._resources)
+        # Ops of each kind as a bitset (the scheduling-set universes) and
+        # each op name's repr (the cover's tie-break order).
+        self._kind_ops: Dict[str, int] = {}
+        for oid, name in enumerate(self._names):
+            kind = self._ops[name].resource_kind
+            self._kind_ops[kind] = self._kind_ops.get(kind, 0) | 1 << oid
+        self._name_reprs: List[str] = [repr(n) for n in self._names]
+        self._res_reprs: List[str] = [repr(r) for r in self._resources]
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -90,51 +117,64 @@ class WordlengthCompatibilityGraph:
     def resources(self) -> Tuple[ResourceType, ...]:
         return self._resources
 
+    @property
+    def op_names(self) -> Tuple[str, ...]:
+        """Operation names in id order (sorted)."""
+        return self._names
+
     def operation(self, name: str) -> Operation:
         return self._ops[name]
 
     def latency(self, resource: ResourceType) -> int:
         """Cycles needed by one execution on ``resource``."""
-        return self._latency_cache[resource]
+        return self._lat[self._res_id[resource]]
 
-    # passaudit: const(lazy sort memo; refine() drops the entry)
     def compatible_resources(self, name: str) -> Tuple[ResourceType, ...]:
         """Current ``H`` neighbours of operation ``name``, sorted."""
-        cached = self._sorted_h.get(name)
-        if cached is None:
-            cached = tuple(sorted(self._h[name]))
-            self._sorted_h[name] = cached
-        return cached
+        resources = self._resources
+        return tuple(resources[rid] for rid in set_bits(self._h[self._op_id[name]]))
 
-    # passaudit: const(lazy sort memo; refine() drops affected entries)
+    # passaudit: const(lazy decode memo; refine() drops affected entries)
     def ops_for_resource(self, resource: ResourceType) -> Tuple[str, ...]:
         """``O(r)``: operations with a current ``H`` edge to ``resource``."""
-        members = self._ops_by_resource.get(resource)
-        if members is None:
+        rid = self._res_id.get(resource)
+        if rid is None:
             return ()
-        cached = self._sorted_ops.get(resource)
+        cached = self._ops_memo[rid]
         if cached is None:
-            cached = tuple(sorted(members))
-            self._sorted_ops[resource] = cached
+            names = self._names
+            cached = tuple(names[oid] for oid in set_bits(self._ops_of[rid]))
+            self._ops_memo[rid] = cached
         return cached
 
+    def ops_masks(self) -> List[int]:
+        """``O(r)`` per resource id, as bitsets over op ids."""
+        return list(self._ops_of)
+
+    def h_masks(self) -> List[int]:
+        """``H`` neighbours per op id, as bitsets over resource ids."""
+        return list(self._h)
+
     def has_edge(self, name: str, resource: ResourceType) -> bool:
-        return resource in self._h[name]
+        rid = self._res_id.get(resource)
+        return rid is not None and bool(self._h[self._op_id[name]] >> rid & 1)
 
     def edge_count(self) -> int:
         """Total number of ``H`` edges (monotone under refinement)."""
-        return sum(len(res) for res in self._h.values())
+        return self._edges
 
     # ------------------------------------------------------------------
     # latency bounds (Table 1: L_o and the per-resource latencies)
     # ------------------------------------------------------------------
     def upper_bound_latency(self, name: str) -> int:
         """``L_o``: slowest compatible resource of operation ``name``."""
-        return max(self._latency_cache[r] for r in self._h[name])
+        lat = self._lat
+        return max(lat[rid] for rid in set_bits(self._h[self._op_id[name]]))
 
     def min_latency(self, name: str) -> int:
         """Fastest compatible resource of operation ``name``."""
-        return min(self._latency_cache[r] for r in self._h[name])
+        lat = self._lat
+        return min(lat[rid] for rid in set_bits(self._h[self._op_id[name]]))
 
     def upper_bound_latencies(self) -> Dict[str, int]:
         """``L_o`` for every operation."""
@@ -142,35 +182,35 @@ class WordlengthCompatibilityGraph:
 
     def can_refine(self, name: str) -> bool:
         """Whether deleting the slowest edges would leave the op coverable."""
-        latencies = {self._latency_cache[r] for r in self._h[name]}
+        lat = self._lat
+        latencies = {lat[rid] for rid in set_bits(self._h[self._op_id[name]])}
         return len(latencies) > 1
 
     def refine(self, name: str) -> List[ResourceType]:
         """Delete all edges ``{name, r}`` with ``latency(r) == L_name``.
 
         Paper section 2.4, final step.  Returns the deleted resource
-        types.  Raises ``ValueError`` if the operation cannot be refined
-        (all its compatible resources share one latency).
+        types, sorted.  Raises ``ValueError`` if the operation cannot be
+        refined (all its compatible resources share one latency).
         """
         if not self.can_refine(name):
             raise ValueError(f"operation {name!r} cannot be refined further")
         bound = self.upper_bound_latency(name)
-        victims = sorted(
-            r for r in self._h[name] if self._latency_cache[r] == bound
-        )
-        self._h[name] -= set(victims)
-        self._sorted_h.pop(name, None)
-        for r in victims:
-            self._ops_by_resource[r].discard(name)
-            self._sorted_ops.pop(r, None)
-        return victims
+        oid = self._op_id[name]
+        victims = [rid for rid in set_bits(self._h[oid]) if self._lat[rid] == bound]
+        for rid in victims:
+            self._h[oid] &= ~(1 << rid)
+            self._ops_of[rid] &= ~(1 << oid)
+            self._ops_memo[rid] = None
+        self._edges -= len(victims)
+        return [self._resources[rid] for rid in victims]
 
     # ------------------------------------------------------------------
     # scheduling set (section 2.2)
     # ------------------------------------------------------------------
     def kinds(self) -> Tuple[str, ...]:
         """Resource kinds present in the operation set, sorted."""
-        return tuple(sorted({op.resource_kind for op in self._ops.values()}))
+        return tuple(sorted(self._kind_ops))
 
     def kind_cover(self, kind: str) -> Tuple[ResourceType, ...]:
         """Minimum-cardinality cover of the operations of one kind.
@@ -182,18 +222,15 @@ class WordlengthCompatibilityGraph:
         the unit of incremental recomputation: refining an operation
         invalidates only its own kind's cover.
         """
-        universe: Set[str] = {
-            name
-            for name, op in self._ops.items()
-            if op.resource_kind == kind
-        }
-        sets = {
-            r: self._ops_by_resource[r] & universe
-            for r in self._resources
-            if r.kind == kind
-        }
-        cover = min_cardinality_cover(universe, sets)
-        return tuple(sorted(cover))
+        universe = self._kind_ops.get(kind, 0)
+        rids = [rid for rid, r in enumerate(self._resources) if r.kind == kind]
+        cover = cover_bits(
+            universe,
+            [self._ops_of[rid] for rid in rids],
+            [self._res_reprs[rid] for rid in rids],
+            self._name_reprs,
+        )
+        return tuple(self._resources[rids[j]] for j in sorted(cover))
 
     def scheduling_set(self) -> Tuple[ResourceType, ...]:
         """Minimum-cardinality ``S ⊆ R`` with an ``H`` edge to every op.
@@ -210,7 +247,7 @@ class WordlengthCompatibilityGraph:
         self, name: str, scheduling_set: Iterable[ResourceType]
     ) -> Tuple[ResourceType, ...]:
         """``S(o)``: scheduling-set members with an ``H`` edge to ``name``."""
-        return tuple(sorted(s for s in scheduling_set if s in self._h[name]))
+        return tuple(sorted(s for s in scheduling_set if self.has_edge(name, s)))
 
     # ------------------------------------------------------------------
     # compatibility edges C (derived from a schedule)
@@ -238,14 +275,16 @@ class WordlengthCompatibilityGraph:
     # ------------------------------------------------------------------
     def h_snapshot(self) -> Dict[str, FrozenSet[ResourceType]]:
         """Immutable snapshot of the current ``H`` edges (for traces)."""
-        return {name: frozenset(res) for name, res in self._h.items()}
+        return {
+            name: frozenset(self.compatible_resources(name)) for name in self._ops
+        }
 
     def copy(self) -> "WordlengthCompatibilityGraph":
         return WordlengthCompatibilityGraph(
             self.operations,
             self._resources,
             self._latency_model,
-            h_edges={name: set(res) for name, res in self._h.items()},
+            h_edges={name: self.compatible_resources(name) for name in self._ops},
         )
 
     def __repr__(self) -> str:

@@ -24,7 +24,7 @@ search).
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ir.ops import Operation
 from .area import AreaModel
@@ -86,26 +86,30 @@ def _prune_redundant(
     latency_model: LatencyModel,
     area_model: AreaModel,
 ) -> List[ResourceType]:
-    cover: Dict[ResourceType, Set[str]] = {
-        r: {op.name for op in ops if r.covers(op)} for r in resources
-    }
-    kept: List[ResourceType] = []
-    # Deterministic order so that exact duplicates keep the smallest type.
+    # ``resources`` are distinct (a grid).  Sorted, so that of types with
+    # equal coverage, area and latency the smallest is kept.
     ordered = sorted(resources)
-    for r in ordered:
+    # Per type, computed once: covered ops as a bitset, area, latency.
+    cover = [
+        sum(1 << i for i, op in enumerate(ops) if r.covers(op)) for r in ordered
+    ]
+    area = [area_model.area(r) for r in ordered]
+    latency = [latency_model.latency(r) for r in ordered]
+    kept: List[ResourceType] = []
+    for i, r in enumerate(ordered):
         redundant = False
-        for other in ordered:
-            if other == r:
+        for j in range(len(ordered)):
+            if j == i:
                 continue
             if (
-                cover[other] >= cover[r]
-                and area_model.area(other) <= area_model.area(r)
-                and latency_model.latency(other) <= latency_model.latency(r)
+                cover[j] | cover[i] == cover[j]
+                and area[j] <= area[i]
+                and latency[j] <= latency[i]
                 and (
-                    cover[other] > cover[r]
-                    or area_model.area(other) < area_model.area(r)
-                    or latency_model.latency(other) < latency_model.latency(r)
-                    or other < r
+                    cover[j] != cover[i]
+                    or area[j] < area[i]
+                    or latency[j] < latency[i]
+                    or j < i
                 )
             ):
                 redundant = True

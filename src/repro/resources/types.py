@@ -17,6 +17,7 @@ latency" -- which is exactly the freedom the allocation heuristic exploits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -52,7 +53,7 @@ class ResourceType:
         """Whether this type can execute an op with the given requirement."""
         if len(requirement) != len(self.widths):
             return False
-        return all(w >= r for w, r in zip(self.widths, requirement))
+        return all(map(operator.ge, self.widths, requirement))
 
     def covers(self, op: Operation) -> bool:
         """Whether this resource type can execute ``op``."""

@@ -218,63 +218,75 @@ class TestBindingContainer:
 
 
 class TestChainCache:
+    """The cache speaks op ids (sorted-name order) and resource ids."""
+
+    SMALL_ID, BIG_ID = 0, 1
+    A, B, C, D = 1, 2, 4, 8  # op-id bits of a, b, c, d
+
     def setup_method(self):
-        self.schedule = {"a": 0, "b": 2, "c": 4, "d": 1}
-        self.latencies = {"a": 2, "b": 2, "c": 2, "d": 2}
-        self.names = ("a", "b", "c", "d")
+        # Per op id (a, b, c, d): start steps and L_o.
+        self.start = [0, 2, 4, 1]
+        self.latency = [2, 2, 2, 2]
 
     def make_cache(self):
         cache = ChainCache()
-        cache.refresh(self.schedule, self.latencies, self.names)
+        cache.refresh(self.start, self.latency)
         return cache
 
     def test_miss_then_hit_returns_same_chain(self):
         cache = self.make_cache()
-        first = cache.chain(SMALL, ["a", "b", "c"], self.schedule, self.latencies)
-        second = cache.chain(SMALL, ["a", "b", "c"], self.schedule, self.latencies)
-        assert first == second == max_chain(
-            ["a", "b", "c"], self.schedule, self.latencies
+        abc = self.A | self.B | self.C
+        first = cache.chain(self.SMALL_ID, abc, self.start, self.latency)
+        second = cache.chain(self.SMALL_ID, abc, self.start, self.latency)
+        assert first == second == tuple(
+            max_chain([0, 1, 2], self.start, self.latency)
         )
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_cached_chain_is_a_private_copy(self):
+    def test_ids_and_names_give_the_same_chain(self):
+        schedule = dict(zip("abcd", self.start))
+        latencies = dict(zip("abcd", self.latency))
+        by_name = max_chain(list("dcba"), schedule, latencies)
+        by_id = max_chain([0, 1, 2, 3], self.start, self.latency)
+        assert by_name == ["a", "b", "c"]
+        assert by_id == [0, 1, 2]
+
+    def test_cached_chain_is_immutable(self):
         cache = self.make_cache()
-        first = cache.chain(SMALL, ["a", "b"], self.schedule, self.latencies)
-        first.append("junk")
-        assert cache.chain(SMALL, ["a", "b"], self.schedule, self.latencies) == [
-            "a", "b",
-        ]
+        first = cache.chain(self.SMALL_ID, self.A | self.B, self.start, self.latency)
+        assert isinstance(first, tuple)
+        assert cache.chain(
+            self.SMALL_ID, self.A | self.B, self.start, self.latency
+        ) == (0, 1)
 
     def test_different_candidates_are_distinct_keys(self):
         cache = self.make_cache()
-        cache.chain(SMALL, ["a", "b", "c"], self.schedule, self.latencies)
-        narrowed = cache.chain(SMALL, ["b", "c"], self.schedule, self.latencies)
-        assert narrowed == ["b", "c"]
+        cache.chain(self.SMALL_ID, self.A | self.B | self.C, self.start, self.latency)
+        narrowed = cache.chain(self.SMALL_ID, self.B | self.C, self.start, self.latency)
+        assert narrowed == (1, 2)
         assert cache.misses == 2
 
     def test_refresh_evicts_only_touching_entries(self):
         cache = self.make_cache()
-        cache.chain(SMALL, ["a", "b"], self.schedule, self.latencies)
-        cache.chain(BIG, ["c", "d"], self.schedule, self.latencies)
-        moved = dict(self.schedule, a=1)
-        dropped = cache.refresh(moved, self.latencies, self.names)
+        cache.chain(self.SMALL_ID, self.A | self.B, self.start, self.latency)
+        cache.chain(self.BIG_ID, self.C | self.D, self.start, self.latency)
+        moved = [1, 2, 4, 1]  # a starts one step later
+        dropped = cache.refresh(moved, self.latency)
         assert dropped == 1  # only the (a, b) entry contained 'a'
-        cache.chain(BIG, ["c", "d"], moved, self.latencies)
+        cache.chain(self.BIG_ID, self.C | self.D, moved, self.latency)
         assert cache.hits == 1
 
     def test_latency_change_also_evicts(self):
         cache = self.make_cache()
-        cache.chain(SMALL, ["a", "b"], self.schedule, self.latencies)
-        slower = dict(self.latencies, b=3)
-        assert cache.refresh(self.schedule, slower, self.names) == 1
+        cache.chain(self.SMALL_ID, self.A | self.B, self.start, self.latency)
+        slower = [2, 3, 2, 2]  # b's L_o grows
+        assert cache.refresh(self.start, slower) == 1
 
     def test_capacity_evicts_oldest(self):
         cache = ChainCache(max_entries_per_resource=2)
-        cache.refresh(self.schedule, self.latencies, self.names)
-        cache.chain(SMALL, ["a"], self.schedule, self.latencies)
-        cache.chain(SMALL, ["b"], self.schedule, self.latencies)
-        cache.chain(SMALL, ["c"], self.schedule, self.latencies)  # evicts ["a"]
-        cache.chain(SMALL, ["a"], self.schedule, self.latencies)
+        cache.refresh(self.start, self.latency)
+        for mask in (self.A, self.B, self.C, self.A):  # C evicts A
+            cache.chain(self.SMALL_ID, mask, self.start, self.latency)
         assert cache.misses == 4 and cache.evicted == 2
 
     def test_bindselect_with_cache_is_identical(self):
@@ -283,7 +295,6 @@ class TestChainCache:
         schedule = {f"m{i}": 3 * i for i in range(6)}
         latencies = {name: wcg.upper_bound_latency(name) for name in schedule}
         cache = ChainCache()
-        cache.refresh(schedule, latencies, tuple(schedule))
         plain = bindselect(wcg, schedule, latencies, AREA)
         cached = bindselect(
             wcg, schedule, latencies, AREA, chain_cache=cache
@@ -361,7 +372,6 @@ class TestExactGreedyRatio:
         schedule = {"o1": 0, "o2": 2, "o3": 4}
         lat = {"o1": 2, "o2": 2, "o3": 2}
         cache = ChainCache()
-        cache.refresh(schedule, lat, list(schedule))
         cached = bindselect(wcg, schedule, lat, area, chain_cache=cache)
         plain = bindselect(wcg, schedule, lat, area)
         assert cached == plain

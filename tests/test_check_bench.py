@@ -26,8 +26,8 @@ def engine_report(**overrides):
 
 
 def solver_report(refinement_speedup=1.8, binding_speedup=2.6,
-                  iterations=(50, 60), identical=True):
-    return {
+                  iterations=(50, 60), identical=True, bind_share=None):
+    report = {
         "kind": "bench-solver",
         "results_identical": identical,
         "workloads": [
@@ -47,6 +47,10 @@ def solver_report(refinement_speedup=1.8, binding_speedup=2.6,
             },
         ],
     }
+    if bind_share is not None:
+        for family in report["workloads"]:
+            family["pass_share"] = {"bind": bind_share}
+    return report
 
 
 def service_report(ratio=2.0, identical=True):
@@ -330,6 +334,33 @@ class TestGateFails:
         assert run(baseline, fresh) == 0
         out = capsys.readouterr().out
         assert "1 of 3 committed case labels not in the fresh report" in out
+
+
+class TestBindShareGate:
+    def test_bind_share_rising_past_the_margin_fails(self, dirs, capsys):
+        baseline, fresh = dirs
+        write_all(baseline, fresh, fresh_solver=solver_report(bind_share=0.45))
+        write(baseline, "solver", solver_report(bind_share=0.30))
+        assert run(baseline, fresh) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] solver.binding-heavy.bind_share" in out
+        assert "ceiling 0.4 = baseline 0.3 + 0.1" in out
+
+    def test_bind_share_within_the_margin_or_lower_passes(self, dirs):
+        baseline, fresh = dirs
+        for share in (0.38, 0.10):
+            write_all(baseline, fresh, fresh_solver=solver_report(bind_share=share))
+            write(baseline, "solver", solver_report(bind_share=0.30))
+            assert run(baseline, fresh) == 0
+
+    def test_missing_fresh_share_fails_and_old_baseline_skips(self, dirs, capsys):
+        baseline, fresh = dirs
+        write_all(baseline, fresh)
+        write(baseline, "solver", solver_report(bind_share=0.30))
+        assert run(baseline, fresh) == 1
+        assert "[FAIL] solver.refinement-heavy.bind_share" in capsys.readouterr().out
+        write_all(baseline, fresh, fresh_solver=solver_report(bind_share=0.9))
+        assert run(baseline, fresh) == 0  # baseline predates pass_share
 
 
 class TestMicroGate:

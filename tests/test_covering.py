@@ -1,10 +1,20 @@
 """Tests for the set-covering utilities (Chvátal greedy and exact BB)."""
 
+import importlib.util
 import itertools
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.utils.covering import greedy_weighted_cover, min_cardinality_cover
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCH))  # bench_micro imports its sibling ``common``
+SPEC = importlib.util.spec_from_file_location("bench_micro", BENCH / "bench_micro.py")
+bench_micro = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_micro)
 
 
 def brute_force_min_cover(universe, sets):
@@ -106,3 +116,24 @@ class TestExactCover:
         sets = {"a": {1, 2}, "b": {3, 4}, "c": {1, 3}, "d": {2, 4}}
         results = {tuple(min_cardinality_cover(universe, sets)) for _ in range(5)}
         assert len(results) == 1
+
+    def test_same_cover_as_the_set_based_reference(self):
+        """The bitset branch-and-bound makes the set formulation's exact
+        choices (same sets, same order), ties included: names whose repr
+        order differs from numeric order, and the greedy fallback."""
+        rng = random.Random(1212)
+        for trial in range(1000):
+            elements = [f"o{i}" for i in range(rng.randint(1, 14))]
+            sets = {
+                f"r{j}": {e for e in elements if rng.random() < 0.25}
+                for j in range(rng.randint(1, 14))
+            }
+            for e in elements:  # keep the universe coverable
+                sets[rng.choice(sorted(sets))].add(e)
+            limit = rng.choice((3, 24))
+            universe = set(elements)
+            assert min_cardinality_cover(
+                universe, sets, exact_limit=limit
+            ) == bench_micro.reference_min_cover(
+                universe, sets, exact_limit=limit
+            ), f"trial {trial}"

@@ -122,14 +122,14 @@ class TestCheckerHardening:
     def test_chain_cache_lru_keeps_hot_entry(self):
         from repro.core.binding import ChainCache
 
-        schedule = {"a": 0, "b": 2, "c": 4}
-        latencies = {"a": 2, "b": 2, "c": 2}
+        start = [0, 2, 4]  # ops a, b, c as ids 0, 1, 2
+        latency = [2, 2, 2]
         cache = ChainCache(max_entries_per_resource=2)
-        cache.refresh(schedule, latencies, ("a", "b", "c"))
-        resource = object()
-        cache.chain(resource, ["a", "b", "c"], schedule, latencies)  # hot
-        cache.chain(resource, ["b"], schedule, latencies)
-        cache.chain(resource, ["a", "b", "c"], schedule, latencies)  # touch
-        cache.chain(resource, ["c"], schedule, latencies)  # evicts ["b"]
-        cache.chain(resource, ["a", "b", "c"], schedule, latencies)
+        cache.refresh(start, latency)
+        resource = 0
+        cache.chain(resource, 0b111, start, latency)  # hot
+        cache.chain(resource, 0b010, start, latency)
+        cache.chain(resource, 0b111, start, latency)  # touch
+        cache.chain(resource, 0b100, start, latency)  # evicts {b}
+        cache.chain(resource, 0b111, start, latency)
         assert cache.hits == 2  # the hot full-candidate entry survived

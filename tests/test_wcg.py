@@ -41,6 +41,29 @@ class TestInitialEdges:
                 ops, MULS, LAT, h_edges={"m": [ResourceType("mul", (8, 8))]}
             )
 
+    def test_explicit_edge_to_unknown_resource_rejected(self):
+        ops = [Operation("m", "mul", (8, 8))]
+        outside = ResourceType("mul", (32, 32))  # covers m, not in MULS
+        with pytest.raises(ValueError, match="not in the resource set"):
+            WordlengthCompatibilityGraph(
+                ops, MULS, LAT, h_edges={"m": [MULS[0], outside]}
+            )
+
+    def test_explicit_edges_for_unknown_operation_rejected(self):
+        ops = [Operation("m", "mul", (8, 8))]
+        with pytest.raises(ValueError, match="unknown operations.*ghost"):
+            WordlengthCompatibilityGraph(
+                ops, MULS, LAT, h_edges={"m": [MULS[0]], "ghost": [MULS[1]]}
+            )
+
+    def test_explicit_edges_round_trip_through_copy(self):
+        ops = [Operation("m1", "mul", (8, 8)), Operation("m2", "mul", (16, 8))]
+        wcg = wcg_for(ops, MULS)
+        wcg.refine("m1")
+        clone = wcg.copy()
+        assert clone.h_snapshot() == wcg.h_snapshot()
+        assert clone.edge_count() == wcg.edge_count()
+
     def test_ops_for_resource(self):
         ops = [Operation("m1", "mul", (8, 8)), Operation("m2", "mul", (16, 8))]
         wcg = wcg_for(ops, MULS)
@@ -130,6 +153,7 @@ class TestSchedulingSet:
         wcg = wcg_for(ops, MULS + ADDS)
         kinds = {s.kind for s in wcg.scheduling_set()}
         assert kinds == {"mul", "add"}
+        assert wcg.kind_cover("div") == ()  # a kind with no operations
 
     def test_members_covering(self):
         ops = [Operation("m1", "mul", (8, 8)), Operation("m2", "mul", (16, 16))]

@@ -11,6 +11,10 @@ baselines and fails when the trajectory regresses:
   tie it; raised from 1.0 when the PR-8 kernel rewrites lifted both
   committed families well above 2.6x) *and* must not fall below
   ``baseline * (1 - tolerance)``;
+* **bind share**: a family's ``pass_share["bind"]`` (the share of
+  incremental solve time spent in Bindselect) must not rise above its
+  committed baseline by more than ``BIND_SHARE_MARGIN`` (0.10); a
+  baseline without ``pass_share`` skips the check;
 * **iteration parity**: for every workload-family case label present in
   both reports, the solver's iteration count must match the baseline
   exactly (the solver is deterministic -- any drift means the search
@@ -25,7 +29,7 @@ baselines and fails when the trajectory regresses:
   least ``--min-service-ratio`` (default 1.0) of the serial
   ``Engine.run_batch`` throughput;
 * **kernel speedups**: every ``bench_micro.py`` kernel (``max_chain``,
-  ``cover_probe``, ``tracker_ops``) must beat its in-process reference
+  ``cover_probe``, ``tracker_ops``, ``kind_cover``) must beat its in-process reference
   implementation by at least ``--min-kernel-ratio`` (default 1.0 -- the
   optimised kernel may never lose to the formulation it replaced) *and*
   must not fall below ``baseline * (1 - tolerance)``;
@@ -63,6 +67,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 REPORTS = ("engine", "solver", "service", "micro", "delta", "fleet")
+#: How far, in share points, a solver family's bind share may rise above
+#: its committed baseline (shares are same-host ratios, so they transfer).
+BIND_SHARE_MARGIN = 0.10
 FILENAMES = {name: f"BENCH_{name}.json" for name in REPORTS}
 
 
@@ -141,6 +148,17 @@ def check_solver(gate: Gate, baseline: Dict, fresh: Dict, args) -> None:
             f"(floor {floor:g}x = max({args.min_family_ratio:g}, "
             f"baseline {family.get('speedup')}x - {args.tolerance:.0%}))",
         )
+        committed_share = family.get("pass_share", {}).get("bind")
+        if committed_share is not None:
+            share = fresh_family.get("pass_share", {}).get("bind")
+            gate.check(
+                share is not None
+                and share <= committed_share + BIND_SHARE_MARGIN,
+                f"solver.{name}.bind_share",
+                f"bind {share} of solve time (ceiling "
+                f"{committed_share + BIND_SHARE_MARGIN:.4g} = baseline "
+                f"{committed_share} + {BIND_SHARE_MARGIN})",
+            )
 
     # Families without a committed baseline (just added to the bench)
     # still get the hard floor -- "incremental may never lose to
