@@ -81,7 +81,7 @@ def run_served(
     def post_slice(chunk) -> None:
         try:
             client = ServiceClient(url)
-            served = client.batch([request for _, request in chunk])
+            served = client.run_batch([request for _, request in chunk])
             for (index, _), result in zip(chunk, served):
                 results[index] = result
         except BaseException as exc:  # noqa: BLE001 -- surface to parent
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
             latencies = []
             for request in warm:
                 began = time.perf_counter()
-                result = probe.allocate(request)
+                result = probe.run(request)
                 latencies.append(time.perf_counter() - began)
                 if not result.cached:
                     raise AssertionError("warm /allocate missed the cache")

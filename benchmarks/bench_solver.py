@@ -10,9 +10,9 @@ Workload families (each exercises a different pass's reuse path):
 
 * ``refinement-heavy`` -- mid-size TGFF graphs at ``lambda = lambda_min``
   so the refine-and-reschedule loop iterates many times; dominated by
-  the bound-critical-path analysis and rescheduling, the territory of
-  :class:`~repro.core.refinement.BoundPathEngine` and the schedule warm
-  start.
+  the bound-critical-path analysis
+  (:func:`~repro.core.refinement.bound_critical_path`) and
+  rescheduling, the territory of the schedule warm start.
 * ``binding-heavy`` -- large TGFF graphs at a slightly relaxed
   constraint; per-iteration cost is dominated by Bindselect's max-chain
   greedy, the territory of :class:`~repro.core.binding.ChainCache`.

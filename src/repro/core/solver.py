@@ -23,10 +23,10 @@ touch:
   max-chain kernel is memoised in a :class:`~repro.core.binding.ChainCache`:
   chains whose candidate sets and members' ``(start, L_o)`` values did
   not move since the previous iteration are replayed verbatim.
-* **refine** -- the bound critical path ``Q_b`` is maintained by a
-  :class:`~repro.core.refinement.BoundPathEngine`: ASAP/ALAP longest
-  paths over the augmented DAG are repaired per added/deleted binding
-  edge and per changed bound latency instead of being rebuilt.
+* **refine** -- no reuse: the bound critical path ``Q_b`` is
+  recomputed each iteration by
+  :func:`~repro.core.refinement.bound_critical_path`, one integer-id
+  ASAP/ALAP sweep that costs less than repairing a maintained copy.
 
 Setting ``REPRO_SOLVER=scratch`` (or passing ``mode="scratch"``)
 disables every reuse: all pass products are recomputed from scratch
@@ -52,12 +52,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 from ..resources.types import ResourceType
 from .binding import Binding, ChainCache, bindselect
 from .problem import InfeasibleError, Problem
-from .refinement import (
-    BoundPathEngine,
-    RefinementStep,
-    bound_critical_path,
-    refine_once,
-)
+from .refinement import RefinementStep, bound_critical_path, refine_once
 from .scheduling import (
     ScheduleWarmStart,
     critical_path_priorities,
@@ -93,7 +88,7 @@ SOLVER_MODES = ("incremental", "scratch")
 REUSE_CHANNELS: Dict[str, Tuple[str, ...]] = {
     "wcg": ("pending_bound_ops", "pending_refined_ops", "dirty_cover_kinds"),
 }
-REUSE_MEMOS: Tuple[str, ...] = ("chain_cache", "bound_path")
+REUSE_MEMOS: Tuple[str, ...] = ("chain_cache",)
 
 _MODES = ("min-units", "asap", "best")
 _CONSTRAINTS = ("eqn3", "eqn2")
@@ -257,13 +252,11 @@ class SolverState:
         self.prev_priorities: Dict[str, int] = {}
         self.prev_first_rejects: Dict[str, int] = {}
 
-        # Cross-iteration reuse state of the bind and refine passes
-        # (incremental runs only): memoised Bindselect max chains and
-        # the maintained bound-critical-path engine.
+        # Cross-iteration reuse state of the bind pass (incremental
+        # runs only): memoised Bindselect max chains.
         self.chain_cache: Optional[ChainCache] = (
             ChainCache() if incremental else None
         )
-        self.bound_path: Optional[BoundPathEngine] = None
 
     # ------------------------------------------------------------------
     def record_refinement(self, step: RefinementStep) -> None:
@@ -581,25 +574,24 @@ class RefinePass(Pass):
 
     Mirrors the paper's section 2.4 plus the two documented completions
     (unit duplication when the bound critical path is unrefinable, and
-    a last-resort whole-set refinement).  Incremental: the bound
-    critical path ``Q_b`` comes from the maintained
-    :class:`BoundPathEngine` (exact single-edge/latency updates to the
-    augmented-DAG ASAP/ALAP longest paths) instead of a from-scratch
-    rebuild; the set is provably identical.  Raises ``InfeasibleError``
-    when no move exists or the iteration cap is hit.
+    a last-resort whole-set refinement).  Both solver modes run the
+    same code: the bound critical path ``Q_b`` is recomputed by
+    :func:`~repro.core.refinement.bound_critical_path` each iteration.
+    Raises ``InfeasibleError`` when no move exists or the iteration cap
+    is hit.
     """
 
     name = "refine"
     reads = frozenset({
-        "area", "binding", "bound_latencies", "bound_path", "bumps",
-        "constraints", "dirty_cover_kinds", "edges", "incremental",
-        "iteration", "iteration_cap", "kind_of", "makespan", "names",
-        "ops_per_kind", "options", "pending_bound_ops",
-        "pending_refined_ops", "problem", "refinements", "schedule",
-        "scheduling_set", "trace", "upper_bounds", "user_kinds", "wcg",
+        "area", "binding", "bound_latencies", "bumps", "constraints",
+        "dirty_cover_kinds", "edges", "iteration", "iteration_cap",
+        "kind_of", "makespan", "names", "ops_per_kind", "options",
+        "pending_bound_ops", "pending_refined_ops", "problem",
+        "refinements", "schedule", "scheduling_set", "trace",
+        "upper_bounds", "user_kinds", "wcg",
     })
     writes = frozenset({
-        "bound_path", "bumps", "dirty_cover_kinds", "pending_bound_ops",
+        "bumps", "dirty_cover_kinds", "pending_bound_ops",
         "pending_refined_ops", "refinements", "trace", "wcg",
     })
 
@@ -614,13 +606,6 @@ class RefinePass(Pass):
             )
 
         assert state.schedule is not None and state.binding is not None
-        q_b = None
-        if state.incremental and not opts.blind_refinement:
-            if state.bound_path is None:
-                state.bound_path = BoundPathEngine(state.names, state.edges)
-            q_b = state.bound_path.critical_ops(
-                state.schedule, state.binding, state.bound_latencies
-            )
         # Preferred move: refine a bound-critical operation (paper §2.4).
         primary_pools = ("any",) if opts.blind_refinement else ("W", "Qb")
         try:
@@ -635,7 +620,6 @@ class RefinePass(Pass):
                 selector=opts.selector,
                 bound_latencies=state.bound_latencies,
                 upper_bounds=state.upper_bounds,
-                q_b=q_b,
             )
             state.record_refinement(step)
             return

@@ -40,9 +40,20 @@ from typing import Any, Deque, Dict, List, Optional, Sequence
 from ..engine import AllocationRequest, AllocationResult, DeltaRequest, Engine
 from ..engine.engine import request_content_key
 
-__all__ = ["AsyncEngine"]
+__all__ = ["AsyncEngine", "latency_percentile"]
 
 _LATENCY_WINDOW = 1024
+
+
+def latency_percentile(
+    window: Sequence[float], fraction: float
+) -> Optional[float]:
+    """The ``fraction`` percentile of a *sorted* latency window, in
+    seconds rounded to microseconds; ``None`` for an empty window."""
+    if not window:
+        return None
+    index = min(len(window) - 1, int(fraction * len(window)))
+    return round(window[index], 6)
 
 
 class AsyncEngine:
@@ -225,12 +236,6 @@ class AsyncEngine:
         with self._latency_lock:
             window = sorted(self._latencies)
 
-        def percentile(fraction: float) -> Optional[float]:
-            if not window:
-                return None
-            index = min(len(window) - 1, int(fraction * len(window)))
-            return round(window[index], 6)
-
         # The in-memory cache view: a /stats poll must not hold the
         # cache lock through a full directory rescan while solves wait
         # on cache reads/writes.
@@ -249,8 +254,8 @@ class AsyncEngine:
             "completed": self._completed,
             "failed": self._failed,
             "deduplicated": self._deduplicated,
-            "latency_p50_seconds": percentile(0.50),
-            "latency_p95_seconds": percentile(0.95),
+            "latency_p50_seconds": latency_percentile(window, 0.50),
+            "latency_p95_seconds": latency_percentile(window, 0.95),
             "latency_window": len(window),
             "cache": cache,
             "cache_hit_rate": (

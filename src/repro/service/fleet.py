@@ -3,9 +3,9 @@
 :class:`FleetCoordinator` is an asyncio HTTP process (``repro fleet``)
 that fronts N ``repro serve`` workers behind the *same* v1 wire surface
 a single worker exposes -- ``POST /v1/allocate``, ``POST /v1/batch``,
-``POST /v1/delta``, ``GET /v1/healthz``, ``GET /v1/stats`` (plus the
-unversioned deprecation shim) -- so :class:`~repro.service.ServiceClient`
-talks to a fleet exactly as it talks to one server.
+``POST /v1/delta``, ``GET /v1/healthz``, ``GET /v1/stats`` -- so
+:class:`~repro.service.ServiceClient` talks to a fleet exactly as it
+talks to one server.
 
 Four mechanisms, in request order:
 
@@ -50,7 +50,6 @@ for ``repro fleet --workers N``, the benchmark and the CI smoke;
 from __future__ import annotations
 
 import asyncio
-import functools
 import hashlib
 import json
 import os
@@ -90,6 +89,7 @@ from ..io.service import (
     SUPPORTED_SCHEMA_VERSIONS,
     check_schema_version,
 )
+from .async_engine import latency_percentile
 from .http import (
     DEFAULT_MAX_BODY_BYTES,
     HttpError,
@@ -98,7 +98,6 @@ from .http import (
     ServerThreadBase,
     fetch_json,
 )
-from .server import DEPRECATION_HEADERS
 
 __all__ = [
     "DEFAULT_QUEUE_LIMITS",
@@ -420,22 +419,18 @@ class FleetCoordinator(HttpServerBase):
         self._memo_put(key, dict(payload))
 
     def _serve_memo_hit(
-        self, pristine: Mapping[str, Any], label: Any, v1: bool
+        self, pristine: Mapping[str, Any], label: Any
     ) -> Dict[str, Any]:
         """A dedup hit, re-labelled for this request like an engine
         cache hit (label and ``cached`` are non-canonical)."""
         payload = dict(pristine)
         payload["label"] = label
         payload["cached"] = True
-        return self._finish_payload(payload, v1)
+        return self._finish_payload(payload)
 
     @staticmethod
-    def _finish_payload(payload: Dict[str, Any], v1: bool) -> Dict[str, Any]:
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-        else:
-            payload.pop("schema_version", None)
-            payload.pop("content_key", None)
+    def _finish_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
+        payload["schema_version"] = SCHEMA_VERSION
         return payload
 
     def _store_read(self, key: str) -> Optional[str]:
@@ -495,9 +490,7 @@ class FleetCoordinator(HttpServerBase):
         for name, count in wanted.items():
             self._class_counts[name] -= count
 
-    async def _serve_entry(
-        self, entry: Dict[str, Any], v1: bool
-    ) -> Dict[str, Any]:
+    async def _serve_entry(self, entry: Dict[str, Any]) -> Dict[str, Any]:
         """One allocation request end to end: memo -> shared store ->
         fleet-wide single flight -> routed forward with requeue."""
         label = entry.get("label")
@@ -507,7 +500,7 @@ class FleetCoordinator(HttpServerBase):
             if hit is not None:
                 self._memo_hits += 1
                 self._deduplicated += 1
-                return self._serve_memo_hit(hit, label, v1)
+                return self._serve_memo_hit(hit, label)
             text = await asyncio.get_running_loop().run_in_executor(
                 None, self._store_read, memo_key
             )
@@ -516,17 +509,17 @@ class FleetCoordinator(HttpServerBase):
                 if adopted is not None:
                     self._store_hits += 1
                     self._deduplicated += 1
-                    return self._serve_memo_hit(adopted, label, v1)
+                    return self._serve_memo_hit(adopted, label)
         if memo_key is None:
             payload = await self._dispatch_entry(entry, memo_key)
-            return self._finish_payload(dict(payload), v1)
+            return self._finish_payload(dict(payload))
 
         flight_key = f"{memo_key}@{entry.get('timeout')!r}"
         existing = self._flights.get(flight_key)
         if existing is not None:
             self._deduplicated += 1
             payload = await asyncio.shield(existing)
-            return self._serve_memo_hit(payload, label, v1)
+            return self._serve_memo_hit(payload, label)
         future: "asyncio.Future[Dict[str, Any]]" = (
             asyncio.get_running_loop().create_future()
         )
@@ -544,7 +537,7 @@ class FleetCoordinator(HttpServerBase):
         finally:
             if self._flights.get(flight_key) is future:
                 del self._flights[flight_key]
-        return self._finish_payload(dict(payload), v1)
+        return self._finish_payload(dict(payload))
 
     def _adopt_store_entry(
         self, key: str, text: str
@@ -580,13 +573,13 @@ class FleetCoordinator(HttpServerBase):
         return payload
 
     async def _timed_entry(
-        self, entry: Dict[str, Any], cls: str, v1: bool
+        self, entry: Dict[str, Any], cls: str
     ) -> Dict[str, Any]:
         """Serve one admitted entry with latency + outcome accounting."""
         self._requests_total += 1
         began = time.perf_counter()
         try:
-            payload = await self._serve_entry(entry, v1)
+            payload = await self._serve_entry(entry)
         except BaseException:
             self._failed += 1
             raise
@@ -600,46 +593,31 @@ class FleetCoordinator(HttpServerBase):
     # endpoints
     # ------------------------------------------------------------------
     def routes(self) -> Dict[str, Route]:
-        endpoints = {
-            "/healthz": ("GET", self._handle_healthz),
-            "/stats": ("GET", self._handle_stats),
-            "/allocate": ("POST", self._handle_allocate),
-            "/batch": ("POST", self._handle_batch),
-            "/delta": ("POST", self._handle_delta),
+        return {
+            "/v1/healthz": ("GET", self._handle_healthz),
+            "/v1/stats": ("GET", self._handle_stats),
+            "/v1/allocate": ("POST", self._handle_allocate),
+            "/v1/batch": ("POST", self._handle_batch),
+            "/v1/delta": ("POST", self._handle_delta),
         }
-        table: Dict[str, Route] = {}
-        for path, (method, handler) in endpoints.items():
-            table[f"/v1{path}"] = (
-                method, functools.partial(handler, v1=True), None,
-            )
-            table[path] = (method, handler, DEPRECATION_HEADERS)
-        return table
 
     async def _handle_healthz(
-        self, _body: bytes, v1: bool = False
+        self, _body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
         healthy = sum(1 for worker in self.workers if worker.healthy)
-        payload: Dict[str, Any] = {
+        return 200, {
             "kind": "service-health",
             "status": "ok" if healthy else "degraded",
             "version": __version__,
             "role": "coordinator",
             "schema_versions": list(SUPPORTED_SCHEMA_VERSIONS),
+            "schema_version": SCHEMA_VERSION,
             "workers": {"total": len(self.workers), "healthy": healthy},
         }
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-        return 200, payload
 
     async def _handle_stats(
-        self, _body: bytes, v1: bool = False
+        self, _body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
-        def percentile(window: List[float], fraction: float) -> Optional[float]:
-            if not window:
-                return None
-            index = min(len(window) - 1, int(fraction * len(window)))
-            return round(window[index], 6)
-
         classes: Dict[str, Any] = {}
         for name in PRIORITY_CLASSES:
             window = sorted(self._class_latencies[name])
@@ -648,8 +626,8 @@ class FleetCoordinator(HttpServerBase):
                 "in_flight": self._class_counts[name],
                 "admitted": self._class_admitted[name],
                 "shed": self._class_shed[name],
-                "latency_p50_seconds": percentile(window, 0.50),
-                "latency_p95_seconds": percentile(window, 0.95),
+                "latency_p50_seconds": latency_percentile(window, 0.50),
+                "latency_p95_seconds": latency_percentile(window, 0.95),
                 "latency_window": len(window),
             }
         payload: Dict[str, Any] = {
@@ -670,13 +648,12 @@ class FleetCoordinator(HttpServerBase):
             },
             "classes": classes,
             "workers": [worker.snapshot() for worker in self.workers],
+            "schema_version": SCHEMA_VERSION,
         }
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
         return 200, payload
 
     async def _handle_allocate(
-        self, body: bytes, v1: bool = False
+        self, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
         data = self._parse_json(body)
         self._check_version(data)
@@ -690,13 +667,13 @@ class FleetCoordinator(HttpServerBase):
         wanted = {cls: 1}
         self._admit(wanted)
         try:
-            payload = await self._timed_entry(data, cls, v1)
+            payload = await self._timed_entry(data, cls)
         finally:
             self._release(wanted)
         return 200, payload
 
     async def _handle_batch(
-        self, body: bytes, v1: bool = False
+        self, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
         data = self._parse_json(body)
         self._check_version(data)
@@ -725,7 +702,7 @@ class FleetCoordinator(HttpServerBase):
         self._admit(wanted)
         try:
             outcomes = await asyncio.gather(*(
-                self._timed_entry(entry, cls, v1) for entry, cls in labelled
+                self._timed_entry(entry, cls) for entry, cls in labelled
             ), return_exceptions=True)
         finally:
             self._release(wanted)
@@ -736,16 +713,14 @@ class FleetCoordinator(HttpServerBase):
             if isinstance(outcome, BaseException):
                 raise outcome
             results.append(outcome)
-        payload: Dict[str, Any] = {
+        return 200, {
             "kind": BATCH_RESULTS_KIND,
             "results": results,
+            "schema_version": SCHEMA_VERSION,
         }
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-        return 200, payload
 
     async def _handle_delta(
-        self, body: bytes, v1: bool = False
+        self, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
         data = self._parse_json(body)
         self._check_version(data)
@@ -778,7 +753,7 @@ class FleetCoordinator(HttpServerBase):
         self._completed += 1
         if payload.get("error") is not None:
             self._failed += 1
-        return 200, self._finish_payload(dict(payload), v1)
+        return 200, self._finish_payload(dict(payload))
 
 
 class FleetThread(ServerThreadBase):
@@ -848,7 +823,7 @@ def spawn_worker(
 class WorkerPool:
     """Spawn and supervise N local ``repro serve`` workers.
 
-    Context manager: enter -> every worker answers ``/healthz`` (each
+    Context manager: enter -> every worker answers ``/v1/healthz`` (each
     with its own local cache directory spilling to one shared store);
     exit -> workers terminated, scratch directories removed.  Used by
     ``repro fleet --workers N``, the fleet benchmark, the CI smoke and

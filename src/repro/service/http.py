@@ -7,9 +7,7 @@ daemons in this package -- the single-engine worker
 
 * :class:`HttpServerBase` -- connection handling, request parsing,
   bounded bodies, JSON responses, and route dispatch.  Subclasses
-  implement :meth:`~HttpServerBase.routes` mapping paths to handlers;
-  a route may attach fixed extra response headers (how the unversioned
-  deprecation shim emits ``Deprecation: true``).
+  implement :meth:`~HttpServerBase.routes` mapping paths to handlers.
 * :class:`HttpError` -- typed refusal; the base turns it into a
   ``service-error`` JSON body with the matching HTTP status (and the
   optional machine-readable ``error_code``).
@@ -28,15 +26,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import (
-    Any,
-    Awaitable,
-    Callable,
-    Dict,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
 from ..io.service import error_to_dict
 
@@ -66,8 +56,8 @@ DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: A route handler: request body bytes -> (status, JSON payload).
 Handler = Callable[[bytes], Awaitable[Tuple[int, Dict[str, Any]]]]
-#: Route table entry: (HTTP method, handler, fixed extra headers).
-Route = Tuple[str, Handler, Optional[Mapping[str, str]]]
+#: Route table entry: (HTTP method, handler).
+Route = Tuple[str, Handler]
 
 
 class HttpError(Exception):
@@ -105,7 +95,7 @@ class HttpServerBase:
     # subclass hooks
     # ------------------------------------------------------------------
     def routes(self) -> Dict[str, Route]:
-        """Path -> (method, handler, fixed extra response headers)."""
+        """Path -> (method, handler)."""
         raise NotImplementedError
 
     async def _on_start(self) -> None:
@@ -148,13 +138,10 @@ class HttpServerBase:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        headers: Optional[Mapping[str, str]] = None
         try:
             try:
                 method, path, body = await self._read_request(reader)
-                status, payload, headers = await self._dispatch(
-                    method, path, body
-                )
+                status, payload = await self._dispatch(method, path, body)
             except HttpError as exc:
                 status, payload = exc.status, error_to_dict(
                     exc.status, exc.message, error_code=exc.error_code
@@ -163,7 +150,7 @@ class HttpServerBase:
                 status, payload = 500, error_to_dict(
                     500, f"{type(exc).__name__}: {exc}"
                 )
-            await self._write_response(writer, status, payload, headers)
+            await self._write_response(writer, status, payload)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away; nothing to answer
         finally:
@@ -193,7 +180,9 @@ class HttpServerBase:
                     content_length = int(value.strip())
                 except ValueError:
                     raise HttpError(400, "bad Content-Length") from None
-        if content_length < 0 or content_length > self.max_body_bytes:
+        if content_length < 0:
+            raise HttpError(400, "bad Content-Length")
+        if content_length > self.max_body_bytes:
             raise HttpError(
                 413, f"body of {content_length} bytes exceeds the "
                      f"{self.max_body_bytes}-byte limit"
@@ -206,39 +195,32 @@ class HttpServerBase:
         return method, path, body
 
     async def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Dict[str, Any],
-        extra_headers: Optional[Mapping[str, str]] = None,
+        self, writer: asyncio.StreamWriter, status: int, payload: Dict[str, Any]
     ) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         lines = [
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
             "Content-Type: application/json",
             f"Content-Length: {len(body)}",
+            "Connection: close",
         ]
-        for name, value in (extra_headers or {}).items():
-            lines.append(f"{name}: {value}")
-        lines.append("Connection: close")
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         writer.write(head + body)
         await writer.drain()
 
     async def _dispatch(
         self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any], Optional[Mapping[str, str]]]:
+    ) -> Tuple[int, Dict[str, Any]]:
         routes = self.routes()
         route = routes.get(path)
         if route is None:
             raise HttpError(
                 404, f"unknown path {path!r}; endpoints: {sorted(routes)}"
             )
-        expected, handler, headers = route
+        expected, handler = route
         if method != expected:
             raise HttpError(405, f"{path} expects {expected}, got {method}")
-        status, payload = await handler(body)
-        return status, payload, headers
+        return await handler(body)
 
     def _parse_json(self, body: bytes) -> Any:
         try:

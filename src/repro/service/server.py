@@ -17,16 +17,11 @@ over five endpoints, versioned under ``/v1``:
   ``/v1/allocate`` of the edited problem, with the warm-start strategy
   in its non-canonical ``delta`` field;
 * ``GET /v1/healthz`` -- liveness + version + supported
-  ``schema_versions`` (what :class:`~repro.service.ServiceClient`
-  negotiates against);
+  ``schema_versions``;
 * ``GET /v1/stats`` -- cache hit rate, in-flight/queued counts,
   p50/p95 latency, executor counters (see ``AsyncEngine.stats``).
 
-The original unversioned paths (``/allocate``, ``/batch``, ``/delta``,
-``/healthz``, ``/stats``) keep working through a deprecation shim: same
-handlers, pre-v1 response bodies (no ``schema_version``/``content_key``
-extras), plus a ``Deprecation: true`` response header pointing clients
-at ``/v1``.
+Every other path is a 404.
 
 Failed solves are *successful HTTP responses*: infeasibility, timeouts,
 validation failures and crashed workers all come back as ``error``
@@ -46,7 +41,6 @@ tests, benchmarks and notebooks.
 from __future__ import annotations
 
 import asyncio
-import functools
 from typing import Any, Dict, Optional, Tuple
 
 from .. import __version__
@@ -74,12 +68,6 @@ from .http import (
 )
 
 __all__ = ["AllocationServer", "ServerThread"]
-
-#: Fixed response headers the unversioned shim attaches.
-DEPRECATION_HEADERS = {
-    "Deprecation": "true",
-    "Link": '</v1/>; rel="successor-version"',
-}
 
 
 class AllocationServer(HttpServerBase):
@@ -121,22 +109,13 @@ class AllocationServer(HttpServerBase):
     # routing
     # ------------------------------------------------------------------
     def routes(self) -> Dict[str, Route]:
-        endpoints = {
-            "/healthz": ("GET", self._handle_healthz),
-            "/stats": ("GET", self._handle_stats),
-            "/allocate": ("POST", self._handle_allocate),
-            "/batch": ("POST", self._handle_batch),
-            "/delta": ("POST", self._handle_delta),
+        return {
+            "/v1/healthz": ("GET", self._handle_healthz),
+            "/v1/stats": ("GET", self._handle_stats),
+            "/v1/allocate": ("POST", self._handle_allocate),
+            "/v1/batch": ("POST", self._handle_batch),
+            "/v1/delta": ("POST", self._handle_delta),
         }
-        table: Dict[str, Route] = {}
-        for path, (method, handler) in endpoints.items():
-            table[f"/v1{path}"] = (
-                method, functools.partial(handler, v1=True), None,
-            )
-            # Deprecation shim: the pre-v1 paths answer with the pre-v1
-            # body shape and a Deprecation header.
-            table[path] = (method, handler, DEPRECATION_HEADERS)
-        return table
 
     def _check_version(self, data: Any) -> None:
         try:
@@ -148,23 +127,19 @@ class AllocationServer(HttpServerBase):
     # endpoints
     # ------------------------------------------------------------------
     async def _handle_healthz(
-        self, _body: bytes, v1: bool = False
+        self, _body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
-        payload: Dict[str, Any] = {
+        return 200, {
             "kind": "service-health",
             "status": "ok",
             "version": __version__,
             "role": "worker",
-            # Advertised on the legacy path too: negotiation must work
-            # before the client knows the server speaks v1.
             "schema_versions": list(SUPPORTED_SCHEMA_VERSIONS),
+            "schema_version": SCHEMA_VERSION,
         }
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-        return 200, payload
 
     async def _handle_stats(
-        self, _body: bytes, v1: bool = False
+        self, _body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
         # stats() takes the cache lock (first use may still scan the
         # directory to build the manifest view): run it on the default
@@ -173,12 +148,11 @@ class AllocationServer(HttpServerBase):
         # the event loop.
         loop = asyncio.get_running_loop()
         payload = await loop.run_in_executor(None, self.async_engine.stats)
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
+        payload["schema_version"] = SCHEMA_VERSION
         return 200, payload
 
     async def _handle_allocate(
-        self, body: bytes, v1: bool = False
+        self, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
         data = self._parse_json(body)
         self._check_version(data)
@@ -188,17 +162,16 @@ class AllocationServer(HttpServerBase):
             raise HttpError(400, f"bad allocation-request: {exc}") from None
         result = await self.async_engine.run(request)
         payload = allocation_result_to_dict(result)
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-            # The authoritative cache/memo key, computed server-side
-            # from the parsed problem -- never trusted from the client.
-            key = versioned_content_key(request_content_key(request))
-            if key is not None:
-                payload["content_key"] = key
+        payload["schema_version"] = SCHEMA_VERSION
+        # The authoritative cache/memo key, computed server-side from
+        # the parsed problem -- never trusted from the client.
+        key = versioned_content_key(request_content_key(request))
+        if key is not None:
+            payload["content_key"] = key
         return 200, payload
 
     async def _handle_batch(
-        self, body: bytes, v1: bool = False
+        self, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
         data = self._parse_json(body)
         self._check_version(data)
@@ -210,16 +183,15 @@ class AllocationServer(HttpServerBase):
             ) from None
         results = await self.async_engine.run_many(requests)
         payload = batch_results_to_dict(results)
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-            for request, entry in zip(requests, payload["results"]):
-                key = versioned_content_key(request_content_key(request))
-                if key is not None:
-                    entry["content_key"] = key
+        payload["schema_version"] = SCHEMA_VERSION
+        for request, entry in zip(requests, payload["results"]):
+            key = versioned_content_key(request_content_key(request))
+            if key is not None:
+                entry["content_key"] = key
         return 200, payload
 
     async def _handle_delta(
-        self, body: bytes, v1: bool = False
+        self, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
         data = self._parse_json(body)
         self._check_version(data)
@@ -229,8 +201,7 @@ class AllocationServer(HttpServerBase):
             raise HttpError(400, f"bad delta-request: {exc}") from None
         result = await self.async_engine.run_delta(request)
         payload = allocation_result_to_dict(result)
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
+        payload["schema_version"] = SCHEMA_VERSION
         return 200, payload
 
 

@@ -519,8 +519,7 @@ class TestCoordinatorSurface:
                 from repro.io.service import allocate_request_payload
 
                 forged = allocate_request_payload(
-                    AllocationRequest(liar_problem, "dpalloc", label="liar"),
-                    schema_version=1,
+                    AllocationRequest(liar_problem, "dpalloc", label="liar")
                 )
                 forged["fingerprint"] = honest.problem.fingerprint()
                 client._request("POST", "/v1/allocate", forged)

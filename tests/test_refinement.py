@@ -1,12 +1,13 @@
 """Tests for the wordlength-refinement machinery (paper section 2.4)."""
 
+import heapq
+
 import pytest
 
 from repro.core.binding import Binding, BoundClique
 from repro.core.problem import InfeasibleError
 from repro.core.refinement import (
     RefinementStep,
-    augmented_edges,
     bound_critical_path,
     candidate_set,
     choose_refinement_op,
@@ -24,36 +25,108 @@ BIG = ResourceType("mul", (16, 16))    # 4 cycles
 ADD = ResourceType("add", (16,))       # 2 cycles
 
 
-class TestAugmentedEdges:
-    def test_sequencing_edges_kept(self):
-        binding = Binding((BoundClique(SMALL, ("a", "b")),))
-        edges = augmented_edges(
-            (("a", "b"),), {"a": 0, "b": 5}, binding, {"a": 2, "b": 2}
+def reference_augmented_edges(graph_edges, schedule, binding, bound_latencies):
+    """Sequencing edges plus the binding edges ``S_b`` of Eqn. 7."""
+    edges = set(graph_edges)
+    for clique in binding.cliques:
+        for o1 in clique.ops:
+            finish = schedule[o1] + bound_latencies[o1]
+            for o2 in clique.ops:
+                if o1 != o2 and finish == schedule[o2]:
+                    edges.add((o1, o2))
+    return edges
+
+
+def reference_topological_order(names, preds, succs):
+    """Deterministic (lexicographic-Kahn) topological order."""
+    indegree = {n: len(preds[n]) for n in names}
+    heap = [n for n in indegree if indegree[n] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        name = heapq.heappop(heap)
+        order.append(name)
+        for s in succs[name]:
+            indegree[s] -= 1
+            if indegree[s] == 0:
+                heapq.heappush(heap, s)
+    if len(order) != len(indegree):
+        raise ValueError("augmented sequencing graph contains a cycle")
+    return order
+
+
+def reference_bound_critical_path(
+    names, graph_edges, schedule, binding, bound_latencies
+):
+    """``Q_b`` by name-keyed Kahn order, independent of schedule starts.
+
+    The reference :func:`bound_critical_path` must agree with: it
+    assumes nothing about start times, so it also checks the kernel's
+    start-ordering argument.
+    """
+    if not names:
+        return set()
+    edges = reference_augmented_edges(
+        graph_edges, schedule, binding, bound_latencies
+    )
+    preds = {n: set() for n in names}
+    succs = {n: set() for n in names}
+    for u, v in sorted(edges):
+        succs[u].add(v)
+        preds[v].add(u)
+    order = reference_topological_order(names, preds, succs)
+    asap = {}
+    for name in order:
+        asap[name] = max(
+            (asap[p] + bound_latencies[p] for p in preds[name]), default=0
         )
-        assert ("a", "b") in edges
+    deadline = max(asap[n] + bound_latencies[n] for n in names)
+    alap = {}
+    for name in reversed(order):
+        finish = min((alap[s] for s in succs[name]), default=deadline)
+        alap[name] = finish - bound_latencies[name]
+    return {n for n in names if asap[n] == alap[n]}
+
+
+class TestAugmentedEdges:
+    """``S ∪ S_b`` as seen through ``Q_b``.
+
+    ``a`` (2 cycles) and ``b`` (3 cycles): with an edge ``a -> b`` both
+    are critical; without one only the longer ``b`` is.
+    """
+
+    LAT = {"a": 2, "b": 3}
+
+    def q_b(self, graph_edges, schedule, binding):
+        q_b = bound_critical_path(
+            ("a", "b"), graph_edges, schedule, binding, self.LAT
+        )
+        assert q_b == reference_bound_critical_path(
+            ("a", "b"), graph_edges, schedule, binding, self.LAT
+        )
+        return q_b
+
+    def test_sequencing_edges_kept(self):
+        binding = Binding(
+            (BoundClique(SMALL, ("a",)), BoundClique(MID, ("b",)))
+        )
+        assert self.q_b(
+            (("a", "b"),), {"a": 0, "b": 5}, binding
+        ) == {"a", "b"}
 
     def test_back_to_back_same_unit_adds_edge(self):
-        binding = Binding((BoundClique(SMALL, ("a", "b")),))
-        edges = augmented_edges(
-            (), {"a": 0, "b": 2}, binding, {"a": 2, "b": 2}
-        )
-        assert ("a", "b") in edges
+        binding = Binding((BoundClique(MID, ("a", "b")),))
+        assert self.q_b((), {"a": 0, "b": 2}, binding) == {"a", "b"}
 
     def test_gap_on_same_unit_adds_no_edge(self):
-        binding = Binding((BoundClique(SMALL, ("a", "b")),))
-        edges = augmented_edges(
-            (), {"a": 0, "b": 3}, binding, {"a": 2, "b": 2}
-        )
-        assert edges == set()
+        binding = Binding((BoundClique(MID, ("a", "b")),))
+        assert self.q_b((), {"a": 0, "b": 3}, binding) == {"b"}
 
     def test_different_units_add_no_edge(self):
         binding = Binding(
-            (BoundClique(SMALL, ("a",)), BoundClique(SMALL, ("b",)))
+            (BoundClique(SMALL, ("a",)), BoundClique(MID, ("b",)))
         )
-        edges = augmented_edges(
-            (), {"a": 0, "b": 2}, binding, {"a": 2, "b": 2}
-        )
-        assert edges == set()
+        assert self.q_b((), {"a": 0, "b": 2}, binding) == {"b"}
 
 
 class TestBoundCriticalPath:
@@ -93,6 +166,31 @@ class TestBoundCriticalPath:
             ("a", "b"), (), {"a": 0, "b": 2}, binding, {"a": 2, "b": 2}
         )
         assert q_b == {"a", "b"}
+
+    def test_edge_not_start_ordered_raises(self):
+        # A DAG, but the edge runs backwards in time: the kernel's
+        # start-order ASAP pass would be wrong, so it refuses.
+        binding = Binding(
+            (BoundClique(SMALL, ("a",)), BoundClique(SMALL, ("b",)))
+        )
+        with pytest.raises(ValueError, match="not start-ordered"):
+            bound_critical_path(
+                ("a", "b"), (("b", "a"),), {"a": 0, "b": 2}, binding,
+                {"a": 2, "b": 2},
+            )
+
+    def test_equal_starts_on_an_edge_raise(self):
+        binding = Binding(
+            (BoundClique(SMALL, ("a",)), BoundClique(SMALL, ("b",)))
+        )
+        with pytest.raises(ValueError, match="not start-ordered"):
+            bound_critical_path(
+                ("a", "b"), (("a", "b"),), {"a": 1, "b": 1}, binding,
+                {"a": 2, "b": 2},
+            )
+
+    def test_empty_graph(self):
+        assert bound_critical_path((), (), {}, Binding(()), {}) == set()
 
 
 class TestCandidateSet:
@@ -194,20 +292,26 @@ class TestRefineOnce:
 
 class TestTopologicalOrder:
     def test_deterministic_lexicographic(self):
-        from repro.core.refinement import _topological_order
-
         names = ("c", "a", "b")
         preds = {"a": set(), "b": set(), "c": {"a", "b"}}
         succs = {"a": {"c"}, "b": {"c"}, "c": set()}
-        assert _topological_order(names, preds, succs) == ["a", "b", "c"]
+        assert reference_topological_order(names, preds, succs) == [
+            "a", "b", "c",
+        ]
 
     def test_cycle_detected(self):
-        from repro.core.refinement import _topological_order
-
         preds = {"a": {"b"}, "b": {"a"}}
         succs = {"a": {"b"}, "b": {"a"}}
         with pytest.raises(ValueError, match="cycle"):
-            _topological_order(("a", "b"), preds, succs)
+            reference_topological_order(("a", "b"), preds, succs)
+        binding = Binding(
+            (BoundClique(SMALL, ("a",)), BoundClique(SMALL, ("b",)))
+        )
+        with pytest.raises(ValueError, match="not start-ordered"):
+            bound_critical_path(
+                ("a", "b"), (("a", "b"), ("b", "a")), {"a": 0, "b": 2},
+                binding, {"a": 2, "b": 2},
+            )
 
     def test_networkx_not_imported_by_refinement(self):
         """The per-iteration hot path must not require networkx."""
@@ -219,65 +323,61 @@ class TestTopologicalOrder:
         ).split('"""', 2)[2]  # allowed in the docstring, not in code
 
 
-class TestBoundPathEngine:
-    def _solver_loop_states(self, num_ops=16, sample=0, relaxation=0.0):
-        """Replicate the DPAlloc loop, yielding per-iteration inputs."""
-        from repro.core.binding import bindselect
-        from repro.core.scheduling import list_schedule_outcome
+class TestKernelMatchesReference:
+    """The kernel equals the name-keyed Kahn reference at every refine
+    iteration of a seeded TGFF corpus."""
+
+    OPTIONS = (
+        {},
+        {"mode": "asap"},
+        {"blind_refinement": True},
+        {"mode": "asap", "blind_refinement": True},
+    )
+
+    @staticmethod
+    def _refine_iterations(problem, options):
+        """Yield the solver state before each refine move."""
+        from repro.core.solver import PIPELINE, _REFINE, SolverState
+
+        state = SolverState(problem, options, incremental=True)
+        while True:
+            state.iteration += 1
+            for stage in PIPELINE:
+                stage.run(state)
+            if state.feasible:
+                return
+            yield state
+            try:
+                _REFINE.run(state)
+            except InfeasibleError:
+                return
+
+    @pytest.mark.parametrize(
+        "overrides", OPTIONS, ids=["min-units", "asap", "blind", "asap-blind"]
+    )
+    def test_agrees_at_every_refine_iteration(self, overrides):
+        from repro.core.solver import DPAllocOptions
         from repro.experiments import build_case
 
-        problem = build_case(num_ops, sample, relaxation).problem
-        graph = problem.graph
-        wcg = WordlengthCompatibilityGraph(
-            graph.operations, problem.resource_set(), problem.latency_model
-        )
-        for _ in range(12):
-            bounds = wcg.upper_bound_latencies()
-            schedule = list_schedule_outcome(graph, wcg, bounds).starts
-            binding = bindselect(
-                wcg, schedule, bounds, problem.area_model
-            )
-            bound_latencies = binding.bound_latencies(wcg)
-            yield graph, wcg, schedule, binding, bound_latencies
-            refinable = sorted(n for n in graph.names if wcg.can_refine(n))
-            if not refinable:
-                return
-            wcg.refine(refinable[0])
-
-    def test_matches_scratch_across_solver_iterations(self):
-        from repro.core.refinement import BoundPathEngine
-
-        engine = None
-        iterations = 0
-        for graph, wcg, schedule, binding, lat in self._solver_loop_states():
-            if engine is None:
-                engine = BoundPathEngine(graph.names, graph.edges())
-            maintained = engine.critical_ops(schedule, binding, lat)
-            scratch = bound_critical_path(
-                graph.names, graph.edges(), schedule, binding, lat
-            )
-            assert maintained == scratch
-            iterations += 1
-        assert iterations > 3
-        assert engine.full_passes == 1
-        assert engine.incremental_updates == iterations - 1
-
-    def test_repeated_identical_iteration_is_stable(self):
-        from repro.core.refinement import BoundPathEngine
-
-        states = list(self._solver_loop_states(num_ops=10))
-        graph, wcg, schedule, binding, lat = states[0]
-        engine = BoundPathEngine(graph.names, graph.edges())
-        first = engine.critical_ops(schedule, binding, lat)
-        again = engine.critical_ops(schedule, binding, lat)
-        assert first == again
-
-    def test_single_op_graph(self):
-        from repro.core.refinement import BoundPathEngine
-
-        binding = Binding((BoundClique(SMALL, ("a",)),))
-        engine = BoundPathEngine(("a",), ())
-        assert engine.critical_ops({"a": 0}, binding, {"a": 2}) == {"a"}
+        options = DPAllocOptions(**overrides)
+        iterations = equal_starts = 0
+        for num_ops in (8, 12, 16, 24, 32):
+            for sample in range(3):
+                for relaxation in (0.0, 0.05):
+                    problem = build_case(num_ops, sample, relaxation).problem
+                    for state in self._refine_iterations(problem, options):
+                        args = (
+                            state.names, state.edges, state.schedule,
+                            state.binding, state.bound_latencies,
+                        )
+                        assert bound_critical_path(*args) == (
+                            reference_bound_critical_path(*args)
+                        )
+                        iterations += 1
+                        starts = list(state.schedule.values())
+                        equal_starts += len(set(starts)) < len(starts)
+        assert iterations > 50
+        assert equal_starts > 0
 
 
 class TestRefineOncePrecomputedQb:
@@ -295,6 +395,8 @@ class TestRefineOncePrecomputedQb:
         return wcg, binding, schedule
 
     def test_precomputed_qb_matches_internal(self):
+        # refine_once draws its W pool from the one Q_b kernel: the op
+        # it refines is the one chosen from a Q_b computed outside.
         wcg1, binding, schedule = self._fixture()
         step_internal = refine_once(
             wcg1, ("a", "b", "c"), (("a", "c"),), schedule, binding,
@@ -305,11 +407,11 @@ class TestRefineOncePrecomputedQb:
             ("a", "b", "c"), (("a", "c"),), schedule, binding,
             binding.bound_latencies(wcg2),
         )
-        step_precomputed = refine_once(
-            wcg2, ("a", "b", "c"), (("a", "c"),), schedule, binding,
-            latency_constraint=20, q_b=q_b,
+        w = candidate_set(q_b, schedule, wcg2.upper_bound_latencies(), 20)
+        assert step_internal.source == "W"
+        assert step_internal.operation == choose_refinement_op(
+            wcg2, w, binding
         )
-        assert step_internal == step_precomputed
 
     def test_unknown_pool_rejected(self):
         wcg, binding, schedule = self._fixture()

@@ -8,6 +8,7 @@ standard error envelope, never a hung connection.
 """
 
 import asyncio
+import contextlib
 import json
 import multiprocessing
 import os
@@ -35,6 +36,7 @@ from repro.io.service import (
 )
 from repro.service import (
     AsyncEngine,
+    FleetThread,
     ServerThread,
     ServiceClient,
     ServiceError,
@@ -308,7 +310,7 @@ class TestHttpEndpoints:
         with ServerThread(engine=Engine(), max_concurrency=2) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            served = client.allocate(request)
+            served = client.run(request)
         assert served.canonical_json() == offline.canonical_json()
         assert served.label == "wire"
 
@@ -322,7 +324,7 @@ class TestHttpEndpoints:
         with ServerThread(engine=Engine(), max_concurrency=3) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            served = client.batch(requests)
+            served = client.run_batch(requests)
         assert [r.label for r in served] == ["b0", "b1", "b2"]
         assert [r.canonical_json() for r in served] == \
                [r.canonical_json() for r in offline]
@@ -335,22 +337,44 @@ class TestHttpEndpoints:
                 client._request("GET", "/nope")
             assert excinfo.value.status == 404
             with pytest.raises(ServiceError) as excinfo:
-                client._request("GET", "/allocate")
+                client._request("GET", "/v1/allocate")
             assert excinfo.value.status == 405
             with pytest.raises(ServiceError) as excinfo:
-                client._request("POST", "/allocate", {"kind": "garbage"})
+                client._request("POST", "/v1/allocate", {"kind": "garbage"})
             assert excinfo.value.status == 400
             # raw non-JSON body
             import urllib.request
 
             req = urllib.request.Request(
-                f"{st.url}/allocate", data=b"not json", method="POST"
+                f"{st.url}/v1/allocate", data=b"not json", method="POST"
             )
             with pytest.raises(urllib.error.HTTPError) as raw:
                 urllib.request.urlopen(req, timeout=10)
             assert raw.value.code == 400
             payload = json.loads(raw.value.read().decode())
             assert payload["kind"] == "service-error"
+
+    def test_negative_content_length_is_400(self):
+        import socket
+
+        with ServerThread(engine=Engine(), max_concurrency=1) as st:
+            ServiceClient(st.url).wait_healthy()
+            server = st.server
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    b"POST /v1/allocate HTTP/1.1\r\n"
+                    b"Content-Length: -5\r\n\r\n"
+                )
+                raw = b""
+                while chunk := sock.recv(65536):
+                    raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+        payload = json.loads(body.decode())
+        assert payload["status"] == 400
+        assert payload["error"] == "bad Content-Length"
 
     def test_solver_failure_is_an_envelope_not_an_http_error(self):
         # An infeasible problem: tightest possible latency.
@@ -360,47 +384,18 @@ class TestHttpEndpoints:
         with ServerThread(engine=Engine(), max_concurrency=1) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            result = client.allocate(AllocationRequest(tight, "dpalloc"))
+            result = client.run(AllocationRequest(tight, "dpalloc"))
         assert not result.ok
         assert result.error is not None
         assert result.datapath is None
 
-    def test_submit_cli_round_trip(self, tmp_path, capsys):
-        out = tmp_path / "served.json"
-        with ServerThread(engine=Engine(), max_concurrency=2) as st:
-            rc = main([
-                "submit", "fir", "--methods", "dpalloc,uniform",
-                "--relax", "0.5", "--url", st.url, "--json", str(out),
-            ])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "served by" in captured.out
-        payload = json.loads(out.read_text())
-        assert payload["kind"] == "allocation-batch"
-        served = batch_results_from_dict(payload)
-        # canonical-byte parity with the offline batch path
-        problem = make_problem()
-        offline = Engine().run_batch([
-            AllocationRequest(problem, "dpalloc", label="fir"),
-            AllocationRequest(problem, "uniform", label="fir"),
-        ])
-        assert [r.canonical_json() for r in served] == \
-               [r.canonical_json() for r in offline]
-
-    def test_submit_cli_unreachable_service(self, capsys):
-        from repro import cli as cli_module
-
-        cli_module._DEPRECATION_WARNED.clear()  # warning fires once/process
+    def test_batch_url_unreachable_service(self, capsys):
         rc = main([
-            "submit", "fir", "--methods", "uniform",
+            "batch", "fir", "--methods", "uniform",
             "--url", "http://127.0.0.1:1",  # reserved port: nothing listens
         ])
         assert rc == 2
-        err = capsys.readouterr().err
-        # submit is a deprecated alias of `batch --url` now: it warns
-        # once and fails with the batch spelling of the error.
-        assert "submit is deprecated" in err
-        assert "batch --url failed" in err
+        assert "batch --url failed" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +424,7 @@ class TestConcurrentAccess:
 
                 def client_call(slot):
                     client = ServiceClient(st.url)
-                    results[slot] = client.allocate(AllocationRequest(
+                    results[slot] = client.run(AllocationRequest(
                         make_problem(), "test-svc-slow", label=f"c{slot}",
                     ))
 
@@ -470,7 +465,7 @@ class TestConcurrentAccess:
         with ServerThread(engine=engine, max_concurrency=4) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            served = client.batch(requests)
+            served = client.run_batch(requests)
         assert all(r.ok for r in served)
         manifest = json.loads((cache_dir / "manifest.json").read_text())
         assert manifest["kind"] == "cache-manifest"
@@ -490,7 +485,7 @@ class TestConcurrentAccess:
                 client = ServiceClient(st.url, timeout=30.0)
                 client.wait_healthy()
                 began = time.perf_counter()
-                result = client.allocate(
+                result = client.run(
                     AllocationRequest(make_problem(), "test-svc-crash")
                 )
                 elapsed = time.perf_counter() - began
@@ -515,7 +510,7 @@ class TestConcurrentAccess:
                 client = ServiceClient(st.url, timeout=30.0)
                 client.wait_healthy()
                 began = time.perf_counter()
-                result = client.allocate(
+                result = client.run(
                     AllocationRequest(make_problem(), "test-svc-hang")
                 )
                 elapsed = time.perf_counter() - began
@@ -538,10 +533,10 @@ class TestDeltaEndpoint:
         with ServerThread(engine=Engine(), max_concurrency=2) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            primed = client.delta(DeltaRequest(
+            primed = client.run_delta(DeltaRequest(
                 edits=(), base_problem=problem, label="prime"
             ))
-            warm = client.delta(DeltaRequest(
+            warm = client.run_delta(DeltaRequest(
                 edits=(DeadlineEdit(lam + 1),),
                 base_fingerprint=problem.fingerprint(),
             ))
@@ -557,7 +552,7 @@ class TestDeltaEndpoint:
         with ServerThread(engine=Engine(), max_concurrency=1) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            result = client.delta(DeltaRequest(
+            result = client.run_delta(DeltaRequest(
                 edits=(), base_fingerprint="deadbeef"
             ))
         assert (result.delta or {}).get("strategy") == "error"
@@ -568,7 +563,7 @@ class TestDeltaEndpoint:
             client = ServiceClient(st.url)
             client.wait_healthy()
             with pytest.raises(ServiceError) as excinfo:
-                client._request("POST", "/delta", {
+                client._request("POST", "/v1/delta", {
                     "kind": "delta-request", "edits": "latency=9",
                 })
             assert excinfo.value.status == 400
@@ -576,45 +571,63 @@ class TestDeltaEndpoint:
 
 
 class TestSchemaVersioning:
-    """Satellite 1: versioned v1 surface + unversioned deprecation shim."""
+    """The ``/v1`` surface is the only one: no shim, no negotiation."""
 
-    def test_legacy_paths_carry_deprecation_header(self):
-        import urllib.request
+    @staticmethod
+    @contextlib.contextmanager
+    def _front(kind):
+        """The URL of a running worker, or of a fleet over one worker."""
+        with ServerThread(engine=Engine(), max_concurrency=1) as worker:
+            if kind == "serve":
+                ServiceClient(worker.url).wait_healthy()
+                yield worker.url
+                return
+            with FleetThread(worker_urls=[worker.url]) as fleet:
+                ServiceClient(fleet.url).wait_healthy()
+                yield fleet.url
 
+    def test_unversioned_paths_are_gone(self, capsys):
+        for kind in ("serve", "fleet"):
+            with self._front(kind) as url:
+                client = ServiceClient(url)
+                for method, path in (
+                    ("GET", "/healthz"), ("GET", "/stats"),
+                    ("POST", "/allocate"), ("POST", "/batch"),
+                    ("POST", "/delta"),
+                ):
+                    with pytest.raises(ServiceError) as excinfo:
+                        client._request(method, path, {})
+                    assert excinfo.value.status == 404, (kind, path)
+        # The CLI spellings that went with the pre-v1 dialect are gone.
+        for argv in (
+            ["submit", "fir", "--url", "http://127.0.0.1:1"],
+            ["serve", "--default-timeout", "5"],
+        ):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+        capsys.readouterr()
+
+    def test_client_sends_no_negotiation_request(self, monkeypatch):
+        sent = []
+        original = ServiceClient._request
+
+        def record(self, method, path, payload=None):
+            sent.append(path)
+            return original(self, method, path, payload)
+
+        monkeypatch.setattr(ServiceClient, "_request", record)
+        request = make_request("direct")
         with ServerThread(engine=Engine(), max_concurrency=1) as st:
-            ServiceClient(st.url).wait_healthy()
-            with urllib.request.urlopen(
-                f"{st.url}/healthz", timeout=10
-            ) as resp:
-                legacy_headers = dict(resp.headers)
-            with urllib.request.urlopen(
-                f"{st.url}/v1/healthz", timeout=10
-            ) as resp:
-                v1_headers = dict(resp.headers)
-        assert legacy_headers.get("Deprecation") == "true"
-        assert "successor-version" in legacy_headers.get("Link", "")
-        assert "Deprecation" not in v1_headers
-
-    def test_client_negotiates_and_pins_v1(self):
-        with ServerThread(engine=Engine(), max_concurrency=1) as st:
-            client = ServiceClient(st.url)
-            client.wait_healthy()
-            assert client.schema_version == 1
-            assert client._path("/allocate") == "/v1/allocate"
-
-    def test_client_pinned_to_legacy_uses_unversioned_paths(self):
-        with ServerThread(engine=Engine(), max_concurrency=1) as st:
-            client = ServiceClient(st.url, schema_version=0)
-            client.wait_healthy()
-            assert client._path("/allocate") == "/allocate"
-            request = make_request("legacy")
-            served = client.run(request)
-        offline = Engine().run(request)
-        assert served.canonical_json() == offline.canonical_json()
+            served = ServiceClient(st.url).run(request)
+        assert sent == ["/v1/allocate"]
+        assert served.canonical_json() == Engine().run(request).canonical_json()
 
     def test_client_rejects_unknown_schema_version(self):
-        with pytest.raises(ValueError, match="schema_version"):
-            ServiceClient("http://127.0.0.1:1", schema_version=99)
+        # There is no dialect to select: the client always speaks v1.
+        assert ServiceClient("http://127.0.0.1:1").schema_version == 1
+        with pytest.raises(TypeError, match="schema_version"):
+            ServiceClient("http://127.0.0.1:1", schema_version=1)
 
     def test_server_refuses_unsupported_schema_version(self):
         from repro.io import allocation_request_to_dict
@@ -629,6 +642,26 @@ class TestSchemaVersioning:
         assert excinfo.value.status == 400
         assert "schema_version" in str(excinfo.value)
 
+    @pytest.mark.parametrize("kind", ["serve", "fleet"])
+    def test_schema_version_must_be_an_integer(self, kind):
+        # ``True in (1,)`` and ``1.0 in (1,)`` hold in Python; neither
+        # is a wire version.
+        from repro.io import allocation_request_to_dict
+
+        with self._front(kind) as url:
+            client = ServiceClient(url)
+            for version in (True, 1.0, "1", None):
+                for path, body in (
+                    ("/v1/allocate",
+                     allocation_request_to_dict(make_request())),
+                    ("/v1/batch", batch_request_to_dict([make_request()])),
+                ):
+                    body["schema_version"] = version
+                    with pytest.raises(ServiceError) as excinfo:
+                        client._request("POST", path, body)
+                    assert excinfo.value.status == 400, (version, path)
+                    assert "schema_version" in str(excinfo.value)
+
     def test_v1_response_carries_authoritative_content_key(self):
         from repro.engine.engine import (
             request_content_key,
@@ -642,36 +675,23 @@ class TestSchemaVersioning:
             client = ServiceClient(st.url)
             client.wait_healthy()
             v1 = client._request(
-                "POST", "/v1/allocate", allocate_request_payload(request, 1)
+                "POST", "/v1/allocate", allocate_request_payload(request)
             )
-            legacy = client._request(
-                "POST", "/allocate", allocate_request_payload(request)
-            )
+            served = client.run(request)
         assert v1["content_key"] == expected
         assert v1["schema_version"] == 1
         # extra wire fields never reach the parsed envelope / canonical
-        # bytes, and the legacy dialect stays byte-compatible
-        assert "content_key" not in legacy
-        assert "schema_version" not in legacy
+        # bytes
+        assert "content_key" not in served.canonical_json()
+        assert "schema_version" not in served.canonical_json()
 
     def test_request_payload_carries_fingerprint_hint_only_on_v1(self):
         from repro.io.service import allocate_request_payload
 
         request = make_request("hinted")
-        v1 = allocate_request_payload(request, 1)
+        v1 = allocate_request_payload(request)
         assert v1["schema_version"] == 1
         assert v1["fingerprint"] == request.problem.fingerprint()
-        legacy = allocate_request_payload(request)
-        assert "schema_version" not in legacy
-        assert "fingerprint" not in legacy
-
-    def test_both_dialects_produce_identical_envelopes(self):
-        request = make_request("dialects")
-        with ServerThread(engine=Engine(), max_concurrency=1) as st:
-            ServiceClient(st.url).wait_healthy()
-            modern = ServiceClient(st.url, schema_version=1).run(request)
-            legacy = ServiceClient(st.url, schema_version=0).run(request)
-        assert modern.canonical_json() == legacy.canonical_json()
 
 
 class TestBackendProtocol:
@@ -729,7 +749,7 @@ class TestServedTraceTelemetry:
         with ServerThread(engine=Engine(), max_concurrency=2) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            served = client.allocate(request)
+            served = client.run(request)
         assert served.trace, "traced request lost its trace on the wire"
         passes = {"bind", "bounds", "check", "refine", "schedule"}
         for event in served.trace:
@@ -750,7 +770,7 @@ class TestServedTraceTelemetry:
         with ServerThread(engine=Engine(), max_concurrency=2) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            served = client.allocate(request)
+            served = client.run(request)
         canonical = json.loads(served.canonical_json())
         events = canonical["datapath"]["trace"]
         assert events, "canonical payload must keep the trace itself"
@@ -772,7 +792,7 @@ class TestServedTraceTelemetry:
             client = ServiceClient(st.url)
             client.wait_healthy()
             payload = client._request(
-                "POST", "/allocate", allocation_request_to_dict(request)
+                "POST", "/v1/allocate", allocation_request_to_dict(request)
             )
         events = payload["datapath"]["trace"]
         assert events
