@@ -11,8 +11,8 @@ Workload families (each exercises a different pass's reuse path):
 * ``refinement-heavy`` -- mid-size TGFF graphs at ``lambda = lambda_min``
   so the refine-and-reschedule loop iterates many times; dominated by
   the bound-critical-path analysis
-  (:func:`~repro.core.refinement.bound_critical_path`) and
-  rescheduling, the territory of the schedule warm start.
+  (:func:`~repro.core.refinement.bound_critical_path`), rescheduling
+  and the per-kind scheduling-set cover reuse.
 * ``binding-heavy`` -- large TGFF graphs at a slightly relaxed
   constraint; per-iteration cost is dominated by Bindselect's max-chain
   greedy, the territory of :class:`~repro.core.binding.ChainCache`.

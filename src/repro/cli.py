@@ -96,6 +96,7 @@ Static analysis (part of the pre-PR checklist)::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict, Optional, Tuple
 
@@ -202,6 +203,16 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """A ``--timeout`` value: finite seconds > 0 (``nan``/``inf`` refused)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, got {text}"
+        )
     return value
 
 
@@ -836,7 +847,7 @@ def main(argv=None) -> int:
     group = engine_parent.add_argument_group("engine")
     group.add_argument("--workers", type=_positive_int, default=None,
                        help="parallel width (default: serial)")
-    group.add_argument("--timeout", type=float, default=None,
+    group.add_argument("--timeout", type=_positive_seconds, default=None,
                        help="per-run wall-clock budget in seconds")
     group.add_argument(
         "--executor", choices=EXECUTORS, default="pool",
@@ -930,7 +941,7 @@ def main(argv=None) -> int:
     add_problem_args(cmd, workload_nargs="+")
     cmd.add_argument("--methods", default=None,
                      help=f"comma-separated subset of: {', '.join(methods)}")
-    cmd.add_argument("--timeout", type=float, default=None,
+    cmd.add_argument("--timeout", type=_positive_seconds, default=None,
                      help="per-run wall-clock budget baked into the manifests")
     cmd.add_argument("--shards", type=_positive_int, required=True,
                      help="number of shard manifests to write")
@@ -977,8 +988,8 @@ def main(argv=None) -> int:
         help="fresh-run execution mode (default 'process': one killable "
              "worker process per solve, so hung solves cannot pile up)",
     )
-    cmd.add_argument("--timeout", dest="default_timeout", type=float,
-                     default=None,
+    cmd.add_argument("--timeout", dest="default_timeout",
+                     type=_positive_seconds, default=None,
                      help="per-solve budget for requests without their own")
 
     cmd = sub.add_parser(
@@ -1019,8 +1030,8 @@ def main(argv=None) -> int:
         "--executor", choices=EXECUTORS, default="process",
         help="execution mode for spawned workers (default 'process')",
     )
-    cmd.add_argument("--timeout", dest="default_timeout", type=float,
-                     default=None,
+    cmd.add_argument("--timeout", dest="default_timeout",
+                     type=_positive_seconds, default=None,
                      help="per-solve budget for spawned workers' "
                           "requests without their own")
 

@@ -13,11 +13,8 @@ from .refinement import (
 from .scheduling import (
     Eqn2Tracker,
     Eqn3Tracker,
-    ScheduleOutcome,
-    ScheduleWarmStart,
     critical_path_priorities,
     list_schedule,
-    list_schedule_outcome,
 )
 from .solution import Datapath, TraceEvent
 from .solver import (
@@ -41,8 +38,6 @@ __all__ = [
     "RefinementStep",
     "SOLVER_ENV",
     "SOLVER_MODES",
-    "ScheduleOutcome",
-    "ScheduleWarmStart",
     "SolverState",
     "TraceEvent",
     "WordlengthCompatibilityGraph",
@@ -53,7 +48,6 @@ __all__ = [
     "choose_refinement_op",
     "critical_path_priorities",
     "list_schedule",
-    "list_schedule_outcome",
     "max_chain",
     "refine_once",
     "resolve_solver_mode",

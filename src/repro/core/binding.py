@@ -279,8 +279,9 @@ class ChainCache:
     pure function of the candidate set and the candidates' ``(start,
     L_o)`` values, so a cached chain may be replayed *verbatim* whenever
     those inputs recur: across the greedy rounds of one ``bindselect``
-    call, and across outer DPAlloc iterations (a refinement moves only
-    the affected cone; see :class:`repro.core.scheduling.ScheduleWarmStart`).
+    call, and across outer DPAlloc iterations (a refinement changes one
+    op's ``L_o``, and most ops keep their ``(start, L_o)`` in the rebuilt
+    schedule).
 
     Consistency contract: ``bindselect`` calls :meth:`refresh` with the
     current per-id ``start``/``L_o`` lists, which evicts exactly the

@@ -35,9 +35,9 @@ An Eqn. 2 tracker is provided for the ablation benchmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..ir.seqgraph import SequencingGraph
 from ..resources.types import ResourceType
@@ -48,11 +48,8 @@ __all__ = [
     "Eqn2Tracker",
     "Eqn3Tracker",
     "Eqn3TrackerReference",
-    "ScheduleOutcome",
-    "ScheduleWarmStart",
     "critical_path_priorities",
     "list_schedule",
-    "list_schedule_outcome",
 ]
 
 
@@ -74,9 +71,10 @@ class Eqn3Tracker:
 
     The bound is *time-monotone*: placing an operation at a fresh control
     step (where all current loads are zero) raises each of its members'
-    peaks to at least the op's share.  Hence if an op fails the check
-    even at a fresh step it can never be scheduled -- the stuck-state
-    test used by the list scheduler.
+    peaks to at least the op's share.  Hence an op that fails the check
+    at a fresh step can never be scheduled: the list scheduler relies on
+    this to declare itself wedged when no op is running and no release
+    is pending.
 
     **Shared-denominator invariant.**  Every quantity in Eqn. 3 is a sum
     of equal shares ``1/|S(o)|``, so with ``D = lcm(|S(o)|)`` over all
@@ -183,18 +181,6 @@ class Eqn3Tracker:
             return True
         return self._hypothetical_scaled(name, start, duration) <= limit
 
-    def ever_admittable(self, name: str, duration: int) -> bool:
-        """Fresh-step feasibility: if this fails, the op can never be placed."""
-        limit = self._limit_scaled.get(self._kind_of_op[name])
-        if limit is None:
-            return True
-        share = self._share_scaled[name]
-        total = self._kind_peak_sum[self._kind_of_op[name]]
-        for m in self._member_ids_of[name]:
-            if share > self._peaks[m]:
-                total += share - self._peaks[m]
-        return total <= limit
-
     def place(self, name: str, start: int, duration: int) -> None:
         """Commit the placement of an operation."""
         share = self._share_scaled[name]
@@ -228,8 +214,7 @@ class Eqn3TrackerReference:
     The pre-PR-8 implementation, retained verbatim as the oracle for the
     scaled-integer :class:`Eqn3Tracker`: the randomized equivalence
     suite drives both trackers through identical placement streams and
-    asserts ``admits``/``ever_admittable``/``lhs`` agree exactly.  Not
-    used on any hot path.
+    asserts ``admits``/``lhs`` agree exactly.  Not used on any hot path.
     """
 
     def __init__(
@@ -298,21 +283,6 @@ class Eqn3TrackerReference:
             return True
         return self._hypothetical_lhs(name, start, duration) <= limit
 
-    def ever_admittable(self, name: str, duration: int) -> bool:
-        """Fresh-step feasibility: if this fails, the op can never be placed."""
-        kind = next(iter(self._members_of[name])).kind
-        limit = self._limit(kind)
-        if limit is None:
-            return True
-        share = self._share[name]
-        total = Fraction(0)
-        for s in self._members_by_kind.get(kind, []):
-            peak = self._peak[s]
-            if s in self._members_of[name]:
-                peak = max(peak, share)
-            total += peak
-        return total <= limit
-
     def place(self, name: str, start: int, duration: int) -> None:
         """Commit the placement of an operation."""
         share = self._share[name]
@@ -358,11 +328,6 @@ class Eqn2Tracker:
             loads.get(t, 0) + 1 <= limit for t in range(start, start + duration)
         )
 
-    def ever_admittable(self, name: str, duration: int) -> bool:
-        kind = self._kind_of[name]
-        limit = self._constraints.get(kind)
-        return limit is None or limit >= 1
-
     def place(self, name: str, start: int, duration: int) -> None:
         kind = self._kind_of[name]
         loads = self._load.setdefault(kind, {})
@@ -378,57 +343,6 @@ class _Running:
 
 class _GreedyWedge(Exception):
     """Internal: the greedy list scheduler blocked itself permanently."""
-
-
-@dataclass(frozen=True)
-class ScheduleWarmStart:
-    """Previous-iteration schedule state for incremental rescheduling.
-
-    The greedy list scheduler is deterministic and event-driven: its
-    decisions strictly before the earliest time anything *changed* could
-    have influenced a decision are provably identical between the
-    previous run and a run with the new inputs.  That divergence bound
-    ``t0`` is the minimum of
-
-    * the previous release time of every operation in ``affected`` --
-      which must contain every op whose latency, list-priority value,
-      Eqn.-3 share/members, or (non-monotone) constraint changed; an
-      op cannot influence any decision before it first becomes ready;
-    * ``t0_cap`` -- a caller-supplied bound covering changes that are
-      *monotone admissions*: when a kind's constraint ``N_y`` only
-      increased (cover, members and shares unchanged), every admission
-      the previous run granted is still granted, so the first decision
-      that can flip is the previous run's earliest *rejection* of an op
-      of that kind (``ScheduleOutcome.first_rejects``).
-
-    ``prev_starts``/``prev_latencies`` must come from a *greedy* run
-    (not the serial fallback): the reuse proof replays the greedy
-    event trace.  :func:`list_schedule_outcome` reports which path
-    produced a schedule so callers can gate the next warm start.
-
-    The bind pass reuses the same change-locality: its
-    :class:`~repro.core.binding.ChainCache` invalidates exactly the
-    chains whose ops' ``(start, L_o)`` moved between iterations -- see
-    ``docs/architecture.md`` for the whole reuse table.
-    """
-
-    prev_starts: Mapping[str, int]
-    prev_latencies: Mapping[str, int]
-    affected: FrozenSet[str]
-    t0_cap: Optional[int] = None
-    prev_first_rejects: Mapping[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ScheduleOutcome:
-    """A schedule plus the provenance incremental callers need."""
-
-    starts: Dict[str, int]
-    greedy: bool  # False when the serial fallback produced the schedule
-    # Earliest event time at which an op of each kind failed admission
-    # (kinds never rejected are absent).  Feeds the next warm start's
-    # monotone-admission bound.
-    first_rejects: Mapping[str, int] = field(default_factory=dict)
 
 
 def serial_schedule(
@@ -486,42 +400,13 @@ def _greedy_schedule(
     graph: SequencingGraph,
     tracker: "Eqn2Tracker | Eqn3Tracker",
     latencies: Mapping[str, int],
-    prefix: Optional[Mapping[str, int]] = None,
-    resume: int = 0,
-    priorities: Optional[Mapping[str, int]] = None,
-    kind_of: Optional[Mapping[str, str]] = None,
-    first_rejects: Optional[Dict[str, int]] = None,
 ) -> Dict[str, int]:
-    """Greedy constructive list schedule, optionally warm-started.
-
-    ``prefix`` replays already-proven placements (identical in the new
-    run by the :class:`ScheduleWarmStart` argument) into the tracker and
-    resumes the event loop at ``resume`` -- the latest prefix start, so
-    the re-scan at ``resume`` re-rejects exactly the ops the previous
-    run rejected there (admission is monotone in committed load, and a
-    kind whose limit rose cannot have rejected anything before the
-    divergence bound) and the loop continues as a from-scratch run
-    would.  ``first_rejects`` (when given, with ``kind_of``) collects
-    the earliest rejection event time per resource kind.
-    """
-    priority = (
-        priorities
-        if priorities is not None
-        else critical_path_priorities(graph, latencies)
-    )
+    """Greedy constructive list schedule (critical-path priority)."""
+    priority = critical_path_priorities(graph, latencies)
     pending: Set[str] = set(graph.names)
     start_times: Dict[str, int] = {}
     running: List[_Running] = []
     now = 0
-    if prefix:
-        for name in sorted(prefix, key=lambda n: (prefix[n], n)):
-            start = prefix[name]
-            start_times[name] = start
-            tracker.place(name, start, latencies[name])
-            if start + latencies[name] > resume:
-                running.append(_Running(name, start + latencies[name]))
-            pending.discard(name)
-        now = resume
 
     # Incremental readiness: per-op unplaced-predecessor counts and the
     # running max finish of placed predecessors.  Placing an op touches
@@ -533,32 +418,21 @@ def _greedy_schedule(
     preds_left: Dict[str, int] = {}
     release: Dict[str, int] = {}
     frontier: Set[str] = set()
-    # reprolint: disable=RL001(order-insensitive: per-op init, no cross-op state)
-    for n in pending:
-        left = 0
-        rel = 0
-        for p in graph.predecessors(n):
-            if p in start_times:
-                finish = start_times[p] + latencies[p]
-                if finish > rel:
-                    rel = finish
-            else:
-                left += 1
-        preds_left[n] = left
-        release[n] = rel
-        if left == 0:
+    for n in graph.names:
+        preds_left[n] = len(graph.predecessors(n))
+        release[n] = 0
+        if preds_left[n] == 0:
             frontier.add(n)
 
     def _commit(name: str, start: int) -> None:
         start_times[name] = start
         finish = start + latencies[name]
         for succ in graph.successors(name):
-            if succ in pending:
-                preds_left[succ] -= 1
-                if finish > release[succ]:
-                    release[succ] = finish
-                if preds_left[succ] == 0:
-                    frontier.add(succ)
+            preds_left[succ] -= 1
+            if finish > release[succ]:
+                release[succ] = finish
+            if preds_left[succ] == 0:
+                frontier.add(succ)
 
     while pending:
         ready = sorted(
@@ -572,8 +446,6 @@ def _greedy_schedule(
                 pending.discard(name)
                 frontier.discard(name)
                 _commit(name, now)
-            elif first_rejects is not None and kind_of is not None:
-                first_rejects.setdefault(kind_of[name], now)
         if not pending:
             break
 
@@ -597,60 +469,15 @@ def _greedy_schedule(
     return start_times
 
 
-def _warm_prefix(
-    graph: SequencingGraph,
-    latencies: Mapping[str, int],
-    warm: ScheduleWarmStart,
-) -> Optional[Tuple[Dict[str, int], int]]:
-    """The provably-reusable placement prefix of a warm start.
-
-    Returns ``(prefix placements, resume time)`` or ``None`` when
-    nothing can be reused.  The prefix is every previous placement that
-    starts before the divergence bound ``t0`` -- the earliest time
-    anything that changed could have influenced a decision (see
-    :class:`ScheduleWarmStart`); decisions before that point are
-    identical by induction over the event trace.
-    """
-    prev = warm.prev_starts
-    if set(prev) != set(graph.names):
-        return None
-    t0: Optional[int] = warm.t0_cap
-    if warm.affected:
-        affected_t0 = min(
-            max(
-                (
-                    prev[p] + warm.prev_latencies[p]
-                    for p in graph.predecessors(name)
-                ),
-                default=0,
-            )
-            for name in warm.affected
-        )
-        t0 = affected_t0 if t0 is None else min(t0, affected_t0)
-    if t0 is None:
-        # Nothing affected: the previous schedule is still exact.
-        return dict(prev), max(prev.values(), default=0)
-    prefix = {name: start for name, start in prev.items() if start < t0}
-    if not prefix:
-        return None
-    for name in prefix:
-        # Affected ops start at/after t0 by construction; a mismatch in
-        # replayed latencies would falsify the reuse proof, so fall back.
-        if name in warm.affected or warm.prev_latencies[name] != latencies[name]:
-            return None
-    return prefix, max(prefix.values())
-
-
-def list_schedule_outcome(
+def list_schedule(
     graph: SequencingGraph,
     wcg: WordlengthCompatibilityGraph,
     latencies: Mapping[str, int],
     resource_constraints: Optional[Mapping[str, int]] = None,
     constraint: str = "eqn3",
+    *,
     scheduling_set: Optional[Tuple[ResourceType, ...]] = None,
-    warm: Optional[ScheduleWarmStart] = None,
-    priorities: Optional[Mapping[str, int]] = None,
-) -> ScheduleOutcome:
+) -> Dict[str, int]:
     """Resource-constrained list scheduling with latency upper bounds.
 
     Args:
@@ -665,18 +492,11 @@ def list_schedule_outcome(
         constraint: ``"eqn3"`` (paper) or ``"eqn2"`` (ablation).
         scheduling_set: precomputed scheduling set (the solver pipeline
             caches per-kind covers); ``None`` recomputes from ``wcg``.
-        warm: previous-iteration state for incremental rescheduling.
-            The result is byte-identical to a from-scratch run -- the
-            warm start only skips re-deriving the provably unchanged
-            placement prefix.
-        priorities: precomputed critical-path priorities for
-            ``latencies`` (the solver pipeline derives them while
-            computing the affected set); ``None`` recomputes them.
 
     Returns:
-        a :class:`ScheduleOutcome` (start step per operation, plus
-        whether the greedy pass -- rather than the serial fallback --
-        produced it).
+        the start step of every operation.  Each call schedules from
+        control step 0 with critical-path priorities derived from
+        ``latencies``.
 
     Raises:
         InfeasibleError: some operation can never satisfy the resource
@@ -691,7 +511,7 @@ def list_schedule_outcome(
     schedule fails the check the constraints are genuinely infeasible.
     """
     if not resource_constraints:
-        return ScheduleOutcome(graph.asap(latencies), greedy=True)
+        return graph.asap(latencies)
 
     def make_tracker() -> "Eqn2Tracker | Eqn3Tracker":
         if constraint == "eqn3":
@@ -700,35 +520,8 @@ def list_schedule_outcome(
             return Eqn2Tracker(wcg, resource_constraints)
         raise ValueError(f"unknown constraint {constraint!r}")
 
-    prefix: Optional[Dict[str, int]] = None
-    resume = 0
-    if warm is not None:
-        reusable = _warm_prefix(graph, latencies, warm)
-        if reusable is not None:
-            prefix, resume = reusable
-
-    kind_of = {op.name: op.resource_kind for op in graph.operations}
-    observed_rejects: Dict[str, int] = {}
     try:
-        starts = _greedy_schedule(
-            graph,
-            make_tracker(),
-            latencies,
-            prefix=prefix,
-            resume=resume,
-            priorities=priorities,
-            kind_of=kind_of,
-            first_rejects=observed_rejects,
-        )
-        # A replayed prefix skips the events before ``resume``, but
-        # those decisions -- including rejections -- are identical to
-        # the previous run's, so its pre-resume rejections carry over.
-        first_rejects = dict(observed_rejects)
-        if prefix is not None and warm is not None:
-            for kind, when in warm.prev_first_rejects.items():
-                if when < resume and when < first_rejects.get(kind, when + 1):
-                    first_rejects[kind] = when
-        return ScheduleOutcome(starts, greedy=True, first_rejects=first_rejects)
+        return _greedy_schedule(graph, make_tracker(), latencies)
     except _GreedyWedge:
         pass
 
@@ -745,17 +538,4 @@ def list_schedule_outcome(
                 f"serialised schedule)"
             )
         checker.place(name, schedule[name], latencies[name])
-    return ScheduleOutcome(schedule, greedy=False)
-
-
-def list_schedule(
-    graph: SequencingGraph,
-    wcg: WordlengthCompatibilityGraph,
-    latencies: Mapping[str, int],
-    resource_constraints: Optional[Mapping[str, int]] = None,
-    constraint: str = "eqn3",
-) -> Dict[str, int]:
-    """From-scratch list scheduling; see :func:`list_schedule_outcome`."""
-    return list_schedule_outcome(
-        graph, wcg, latencies, resource_constraints, constraint
-    ).starts
+    return schedule

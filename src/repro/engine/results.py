@@ -10,6 +10,7 @@ its return value, or which exception it used to signal infeasibility.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -69,6 +70,17 @@ class AllocationRequest:
     priority: Optional[str] = None
 
     def __post_init__(self) -> None:
+        timeout = self.timeout
+        if timeout is not None and not (
+            isinstance(timeout, (int, float))
+            and not isinstance(timeout, bool)
+            and math.isfinite(timeout)
+            and timeout > 0
+        ):
+            raise ValueError(
+                f"timeout must be None or a finite number of seconds > 0, "
+                f"got {timeout!r}"
+            )
         if self.priority is not None and self.priority not in PRIORITY_CLASSES:
             raise ValueError(
                 f"priority must be one of {PRIORITY_CLASSES}, "

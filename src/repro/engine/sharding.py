@@ -220,8 +220,8 @@ def merge_shard_results(
     ``run_batch``.
 
     Raises:
-        ValueError: inconsistent headers, duplicate shards/indices, or
-            missing indices.
+        ValueError: inconsistent or out-of-range headers, shard ids or
+            indices, duplicate shards/indices, or missing indices.
     """
     from ..io.json_io import allocation_result_from_dict
 
@@ -241,6 +241,11 @@ def merge_shard_results(
                 "malformed shard-results payload: missing or non-integer "
                 "num_shards/total header"
             ) from None
+        if this_header[0] < 1 or this_header[1] < 0:
+            raise ValueError(
+                f"malformed shard-results payload: num_shards must be >= 1 "
+                f"and total >= 0, got (num_shards, total)={this_header}"
+            )
         if header is None:
             header = this_header
         elif this_header != header:
@@ -258,6 +263,10 @@ def merge_shard_results(
                 "malformed shard-results payload: missing shard id or "
                 "results list"
             ) from None
+        if not 0 <= shard < this_header[0]:
+            raise ValueError(
+                f"shard {shard} is outside [0, {this_header[0]})"
+            )
         if shard in seen_shards:
             raise ValueError(f"shard {shard} appears more than once")
         seen_shards[shard] = len(entries)
@@ -271,6 +280,11 @@ def merge_shard_results(
                 raise ValueError(
                     f"malformed shard-results entry in shard {shard}: {exc!r}"
                 ) from None
+            if not 0 <= index < this_header[1]:
+                raise ValueError(
+                    f"request index {index} in shard {shard} is outside "
+                    f"[0, {this_header[1]})"
+                )
             if index in collected:
                 raise ValueError(f"request index {index} appears twice")
             collected[index] = result

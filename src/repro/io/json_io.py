@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Union
+from typing import TYPE_CHECKING, Any, Dict, Union
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid import cycles
     from ..core.delta import Edit
@@ -26,6 +26,7 @@ from ..sim.netlist import Netlist
 
 __all__ = [
     "EDIT_KIND",
+    "check_kind",
     "graph_to_dict",
     "graph_from_dict",
     "netlist_to_dict",
@@ -47,6 +48,26 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
+
+
+def check_kind(data: Any, kind: str, noun: str) -> None:
+    """Raise ``ValueError`` unless ``data`` is a JSON object of ``kind``.
+
+    Every deserialiser starts here, so a payload that is not an object
+    at all (a list, a string, a number) fails with the same typed error
+    as one with the wrong ``kind`` discriminator.  ``noun`` names the
+    payload in the message, article included (``"a netlist"``).
+    """
+    found = data.get("kind") if isinstance(data, dict) else type(data).__name__
+    if not isinstance(data, dict) or found != kind:
+        raise ValueError(f"not {noun} payload: {found!r}")
+
+
+def _object(data: Any, field: str) -> Dict:
+    """A nested payload field that must be a JSON object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{field!r} must be a JSON object, got {data!r}")
+    return data
 
 
 # ----------------------------------------------------------------------
@@ -71,8 +92,7 @@ def graph_to_dict(graph: SequencingGraph) -> Dict:
 
 def graph_from_dict(data: Dict) -> SequencingGraph:
     """Deserialise a sequencing graph."""
-    if data.get("kind") != "sequencing-graph":
-        raise ValueError(f"not a sequencing graph payload: {data.get('kind')!r}")
+    check_kind(data, "sequencing-graph", "a sequencing graph")
     graph = SequencingGraph()
     for entry in data["operations"]:
         graph.add_operation(
@@ -101,8 +121,7 @@ def netlist_to_dict(netlist: Netlist) -> Dict:
 
 def netlist_from_dict(data: Dict) -> Netlist:
     """Deserialise a netlist."""
-    if data.get("kind") != "netlist":
-        raise ValueError(f"not a netlist payload: {data.get('kind')!r}")
+    check_kind(data, "netlist", "a netlist")
     return Netlist(
         graph=graph_from_dict(data["graph"]),
         inputs={k: int(v) for k, v in data["inputs"].items()},
@@ -200,8 +219,7 @@ def datapath_to_dict(datapath: Datapath) -> Dict:
 
 def datapath_from_dict(data: Dict) -> Datapath:
     """Deserialise a datapath solution."""
-    if data.get("kind") != "datapath":
-        raise ValueError(f"not a datapath payload: {data.get('kind')!r}")
+    check_kind(data, "datapath", "a datapath")
     cliques = tuple(
         BoundClique(
             ResourceType(entry["resource_kind"], tuple(entry["resource_widths"])),
@@ -261,6 +279,7 @@ def _model_from_dict(data: Dict) -> object:
         "SonicLatencyModel": SonicLatencyModel,
         "SonicAreaModel": SonicAreaModel,
     }
+    data = _object(data, "model")
     try:
         cls = known[data["type"]]
     except KeyError:
@@ -286,8 +305,7 @@ def problem_to_dict(problem: "Problem") -> Dict:
 
 def problem_from_dict(data: Dict) -> "Problem":
     """Deserialise a :class:`~repro.core.problem.Problem` instance."""
-    if data.get("kind") != "problem":
-        raise ValueError(f"not a problem payload: {data.get('kind')!r}")
+    check_kind(data, "problem", "a problem")
     from ..core.problem import Problem
 
     constraints = data.get("resource_constraints")
@@ -297,7 +315,10 @@ def problem_from_dict(data: Dict) -> "Problem":
         latency_model=_model_from_dict(data["latency_model"]),
         area_model=_model_from_dict(data["area_model"]),
         resource_constraints=(
-            {k: int(v) for k, v in constraints.items()}
+            {
+                k: int(v)
+                for k, v in _object(constraints, "resource_constraints").items()
+            }
             if constraints is not None
             else None
         ),
@@ -324,10 +345,7 @@ def allocation_request_to_dict(request: "AllocationRequest") -> Dict:
 
 def allocation_request_from_dict(data: Dict) -> "AllocationRequest":
     """Deserialise an :class:`~repro.engine.results.AllocationRequest`."""
-    if data.get("kind") != "allocation-request":
-        raise ValueError(
-            f"not an allocation-request payload: {data.get('kind')!r}"
-        )
+    check_kind(data, "allocation-request", "an allocation-request")
     from ..engine.results import AllocationRequest
 
     return AllocationRequest(
@@ -374,9 +392,7 @@ def edit_from_dict(data: Dict) -> "Edit":
     """Deserialise one :data:`repro.core.delta.Edit`."""
     from ..core.delta import ConstraintEdit, DeadlineEdit, WordlengthEdit
 
-    if not isinstance(data, dict) or data.get("kind") != EDIT_KIND:
-        kind = data.get("kind") if isinstance(data, dict) else type(data).__name__
-        raise ValueError(f"not a {EDIT_KIND} payload: {kind!r}")
+    check_kind(data, EDIT_KIND, f"a {EDIT_KIND}")
     which = data.get("edit")
     if which == "deadline":
         return DeadlineEdit(latency=int(data["latency"]))
@@ -422,10 +438,7 @@ def allocation_result_to_dict(result: "AllocationResult") -> Dict:
 
 def allocation_result_from_dict(data: Dict) -> "AllocationResult":
     """Deserialise an :class:`~repro.engine.results.AllocationResult`."""
-    if data.get("kind") != "allocation-result":
-        raise ValueError(
-            f"not an allocation-result payload: {data.get('kind')!r}"
-        )
+    check_kind(data, "allocation-result", "an allocation-result")
     from ..engine.results import AllocationResult
 
     datapath = data.get("datapath")

@@ -42,6 +42,7 @@ from .json_io import (
     allocation_request_to_dict,
     allocation_result_from_dict,
     allocation_result_to_dict,
+    check_kind,
     edit_from_dict,
     edit_to_dict,
     problem_from_dict,
@@ -131,9 +132,7 @@ def batch_request_to_dict(requests: Sequence[Any]) -> Dict[str, Any]:
 
 def batch_request_from_dict(data: Any) -> List[Any]:
     """Deserialise a ``POST /v1/batch`` body into allocation requests."""
-    if not isinstance(data, dict) or data.get("kind") != BATCH_REQUEST_KIND:
-        kind = data.get("kind") if isinstance(data, dict) else type(data).__name__
-        raise ValueError(f"not an {BATCH_REQUEST_KIND} payload: {kind!r}")
+    check_kind(data, BATCH_REQUEST_KIND, f"an {BATCH_REQUEST_KIND}")
     entries = data.get("requests")
     if not isinstance(entries, list):
         raise ValueError(f"{BATCH_REQUEST_KIND}: 'requests' must be a list")
@@ -154,9 +153,7 @@ def batch_results_to_dict(results: Sequence[Any]) -> Dict[str, Any]:
 
 def batch_results_from_dict(data: Any) -> List[Any]:
     """Deserialise an ``allocation-batch`` payload into result envelopes."""
-    if not isinstance(data, dict) or data.get("kind") != BATCH_RESULTS_KIND:
-        kind = data.get("kind") if isinstance(data, dict) else type(data).__name__
-        raise ValueError(f"not an {BATCH_RESULTS_KIND} payload: {kind!r}")
+    check_kind(data, BATCH_RESULTS_KIND, f"an {BATCH_RESULTS_KIND}")
     entries = data.get("results")
     if not isinstance(entries, list):
         raise ValueError(f"{BATCH_RESULTS_KIND}: 'results' must be a list")
@@ -190,9 +187,7 @@ def delta_request_to_dict(request: Any) -> Dict[str, Any]:
 def delta_request_from_dict(data: Any) -> Any:
     """Deserialise a ``POST /v1/delta`` body into a
     :class:`~repro.engine.results.DeltaRequest`."""
-    if not isinstance(data, dict) or data.get("kind") != DELTA_REQUEST_KIND:
-        kind = data.get("kind") if isinstance(data, dict) else type(data).__name__
-        raise ValueError(f"not a {DELTA_REQUEST_KIND} payload: {kind!r}")
+    check_kind(data, DELTA_REQUEST_KIND, f"a {DELTA_REQUEST_KIND}")
     from ..engine.results import DeltaRequest
 
     entries = data.get("edits")

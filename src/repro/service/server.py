@@ -44,7 +44,7 @@ import asyncio
 from typing import Any, Dict, Optional, Tuple
 
 from .. import __version__
-from ..engine import Engine
+from ..engine import Engine, get_allocator
 from ..engine.engine import request_content_key, versioned_content_key
 from ..io.json_io import (
     allocation_request_from_dict,
@@ -68,6 +68,11 @@ from .http import (
 )
 
 __all__ = ["AllocationServer", "ServerThread"]
+
+# What a malformed body raises while it is parsed: each becomes a 400.
+# ``OverflowError`` is a JSON ``1e400`` reaching ``int()``; an unknown
+# allocator name is a ``KeyError`` from the registry lookup.
+_BAD_PAYLOAD = (KeyError, OverflowError, TypeError, ValueError)
 
 
 class AllocationServer(HttpServerBase):
@@ -158,7 +163,8 @@ class AllocationServer(HttpServerBase):
         self._check_version(data)
         try:
             request = allocation_request_from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
+            get_allocator(request.allocator)
+        except _BAD_PAYLOAD as exc:
             raise HttpError(400, f"bad allocation-request: {exc}") from None
         result = await self.async_engine.run(request)
         payload = allocation_result_to_dict(result)
@@ -177,7 +183,9 @@ class AllocationServer(HttpServerBase):
         self._check_version(data)
         try:
             requests = batch_request_from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
+            for request in requests:
+                get_allocator(request.allocator)
+        except _BAD_PAYLOAD as exc:
             raise HttpError(
                 400, f"bad allocation-batch-request: {exc}"
             ) from None
@@ -197,7 +205,7 @@ class AllocationServer(HttpServerBase):
         self._check_version(data)
         try:
             request = delta_request_from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_PAYLOAD as exc:
             raise HttpError(400, f"bad delta-request: {exc}") from None
         result = await self.async_engine.run_delta(request)
         payload = allocation_result_to_dict(result)

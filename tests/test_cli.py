@@ -268,6 +268,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["allocate", "fir", "--method", "quantum"])
 
+    @pytest.mark.parametrize("argv", [
+        ["batch", "fir"],
+        ["shard", "fir", "--shards", "2", "--out-dir", "unused"],
+        ["serve"],
+        ["fleet"],
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
+    def test_timeout_must_be_positive_finite_seconds(
+        self, argv, value, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--timeout", value])
+        assert excinfo.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
+
 
 class TestServiceFlagConsolidation:
     """One --url/--http-timeout/--priority surface across

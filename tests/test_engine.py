@@ -126,6 +126,13 @@ class TestRegistry:
 
 
 class TestExecuteRequest:
+    @pytest.mark.parametrize(
+        "timeout", ["soon", [1], True, 0, -1.5, float("nan"), float("inf")]
+    )
+    def test_timeout_must_be_positive_finite_seconds(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            AllocationRequest(make_problem(), "dpalloc", timeout=timeout)
+
     def test_success_envelope(self):
         result = execute_request(AllocationRequest(make_problem(), "dpalloc"))
         assert result.ok

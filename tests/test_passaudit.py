@@ -396,7 +396,7 @@ class TestEffectMap:
         for key, entry in passes.items():
             assert entry["complete"], key
         assert payload["protocol"]["channels"]["wcg"] == [
-            "dirty_cover_kinds", "pending_bound_ops", "pending_refined_ops",
+            "dirty_cover_kinds", "pending_bound_ops",
         ]
         assert payload["protocol"]["memos"] == ["chain_cache"]
 

@@ -570,25 +570,25 @@ class TestDeltaEndpoint:
             assert "bad delta-request" in str(excinfo.value)
 
 
+@contextlib.contextmanager
+def _front(kind):
+    """The URL of a running worker, or of a fleet over one worker."""
+    with ServerThread(engine=Engine(), max_concurrency=1) as worker:
+        if kind == "serve":
+            ServiceClient(worker.url).wait_healthy()
+            yield worker.url
+            return
+        with FleetThread(worker_urls=[worker.url]) as fleet:
+            ServiceClient(fleet.url).wait_healthy()
+            yield fleet.url
+
+
 class TestSchemaVersioning:
     """The ``/v1`` surface is the only one: no shim, no negotiation."""
 
-    @staticmethod
-    @contextlib.contextmanager
-    def _front(kind):
-        """The URL of a running worker, or of a fleet over one worker."""
-        with ServerThread(engine=Engine(), max_concurrency=1) as worker:
-            if kind == "serve":
-                ServiceClient(worker.url).wait_healthy()
-                yield worker.url
-                return
-            with FleetThread(worker_urls=[worker.url]) as fleet:
-                ServiceClient(fleet.url).wait_healthy()
-                yield fleet.url
-
     def test_unversioned_paths_are_gone(self, capsys):
         for kind in ("serve", "fleet"):
-            with self._front(kind) as url:
+            with _front(kind) as url:
                 client = ServiceClient(url)
                 for method, path in (
                     ("GET", "/healthz"), ("GET", "/stats"),
@@ -648,7 +648,7 @@ class TestSchemaVersioning:
         # is a wire version.
         from repro.io import allocation_request_to_dict
 
-        with self._front(kind) as url:
+        with _front(kind) as url:
             client = ServiceClient(url)
             for version in (True, 1.0, "1", None):
                 for path, body in (
@@ -692,6 +692,47 @@ class TestSchemaVersioning:
         v1 = allocate_request_payload(request)
         assert v1["schema_version"] == 1
         assert v1["fingerprint"] == request.problem.fingerprint()
+
+
+class TestMalformedPayloads:
+    """A malformed ``/v1`` body is a typed 400, never a 500."""
+
+    @staticmethod
+    def _cases():
+        from repro.io import allocation_request_to_dict, problem_to_dict
+
+        def allocate(**fields):
+            body = allocation_request_to_dict(make_request())
+            body.update(fields)
+            return ("/v1/allocate", body)
+
+        base = problem_to_dict(make_problem())
+        yield "/v1/allocate", [1, 2]
+        yield "/v1/allocate", "str"
+        yield allocate(problem=5)
+        yield allocate(problem=dict(base, resource_constraints=5))
+        yield allocate(problem=dict(base, latency_constraint=float("inf")))
+        yield allocate(allocator="no-such-allocator")
+        for timeout in ("soon", [1], True, 0, -1.5, float("nan"),
+                        float("inf")):
+            yield allocate(timeout=timeout)
+        yield "/v1/batch", {"kind": "allocation-batch-request",
+                            "requests": [5]}
+        yield "/v1/batch", {"kind": "allocation-batch-request",
+                            "requests": [allocate(allocator=5)[1]]}
+        yield "/v1/delta", {"kind": "delta-request", "edits": [],
+                            "base_problem": 5}
+
+    @pytest.mark.parametrize("kind", ["serve", "fleet"])
+    def test_malformed_bodies_are_http_400(self, kind):
+        with _front(kind) as url:
+            client = ServiceClient(url)
+            for path, body in self._cases():
+                with pytest.raises(ServiceError) as excinfo:
+                    client._request("POST", path, body)
+                assert excinfo.value.status == 400, (path, body)
+            # The service is still healthy after every refusal.
+            assert client.run(make_request("after")).datapath is not None
 
 
 class TestBackendProtocol:

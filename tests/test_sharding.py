@@ -214,6 +214,35 @@ class TestMerge:
             with pytest.raises(ValueError):
                 merge_shard_results([payload])
 
+    def test_out_of_range_shards_and_indices_rejected(self):
+        # Each payload covers index 0 of a one-request sweep, so without
+        # range checks the stray index or shard would merge silently.
+        from repro.engine import AllocationResult
+        from repro.io import allocation_result_to_dict
+
+        entry = allocation_result_to_dict(
+            AllocationResult("dpalloc", None, 0.0, error="infeasible: x")
+        )
+
+        def payload(indices, shard=0, num_shards=1, total=1):
+            return {
+                "kind": "shard-results", "shard": shard,
+                "num_shards": num_shards, "total": total,
+                "results": [{"index": i, "result": entry} for i in indices],
+            }
+
+        for bad, match in (
+            (payload([0, 7]), "outside"),
+            (payload([0, -3]), "outside"),
+            (payload([0], shard=5, num_shards=2), "outside"),
+            (payload([0], shard=-1, num_shards=2), "outside"),
+            (payload([], num_shards=0, total=0), "num_shards must be"),
+            (payload([], total=-1), "num_shards must be"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                merge_shard_results([bad])
+        assert len(merge_shard_results([payload([0])])) == 1
+
     def test_cli_merge_reports_malformed_file(self, tmp_path, capsys):
         from repro.io import save_json
 
