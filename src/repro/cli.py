@@ -765,12 +765,6 @@ def _cmd_cache(args) -> int:
     if args.action == "stats":
         stats = engine.cache_stats()
         print(json_module.dumps(stats, indent=2, sort_keys=True))
-        if stats and stats.get("stale_dropped"):
-            print(
-                f"note: skipped {stats['stale_dropped']} manifest entries "
-                f"whose files were deleted behind the cache's back",
-                file=sys.stderr,
-            )
         return 0
     if args.action == "prune":
         if args.max_mb is None:

@@ -625,7 +625,7 @@ class AsyncBlockingRule(LintRule):
 
     The service promises non-blocking operation (``AsyncEngine``
     offloads every solve to a worker thread; ``/stats`` offloads the
-    manifest rescan), so a synchronous call inside an ``async def`` in
+    cache directory scan), so a synchronous call inside an ``async def`` in
     ``repro/service/`` stalls *every* connection, not one request.
 
     Flagged when called (not awaited, not inside a nested ``def`` --

@@ -32,7 +32,7 @@ Scaling surfaces on top of the engine:
   ``Problem.fingerprint()`` into shard manifests, run them anywhere,
   merge the envelope files back deterministically;
 * ``Engine(cache_dir=..., cache_max_mb=...)`` -- result-cache lifecycle
-  (manifest, ``cache_stats()``, LRU eviction;
+  (one file per entry, ``cache_stats()``, LRU eviction;
   :mod:`repro.engine.cache`);
 * ``Engine.run_delta(DeltaRequest(...))`` -- warm-start re-solves of
   edited problems by verified replay of a recorded base solve

@@ -9,7 +9,7 @@ algorithmic behaviour.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Dict, Optional, Tuple
 
 from ..core.dpalloc import DPAllocOptions, allocate
@@ -36,6 +36,9 @@ def dpalloc(problem: Problem, **options: object) -> Tuple[Datapath, Dict]:
     if datapath.trace:
         extras["trace_events"] = len(datapath.trace)
     return datapath, extras
+
+
+dpalloc.option_names = frozenset(f.name for f in fields(DPAllocOptions))
 
 
 @register_allocator("ilp")

@@ -1,57 +1,40 @@
-"""On-disk result-cache lifecycle: manifest, stats, LRU eviction.
+"""On-disk result cache: one ``<key>.json`` envelope file per entry.
 
-PR 1's cache wrote envelope files keyed by
-``sha256(problem fingerprint + allocator + options + version)`` and let
-them live forever.  :class:`ResultCache` adds the lifecycle around those
-entries:
+Keys are ``sha256(problem fingerprint + allocator + options + version)``
+(see ``Engine.cache_key``), so stale code never serves an entry it did
+not write.  The entry files are the only record: an entry's size is its
+``st_size`` and its LRU position its ``st_mtime``, which every read hit
+refreshes.  :class:`ResultCache` adds :meth:`stats`, LRU eviction down
+to a size budget (:meth:`prune`; a constructor budget is enforced by
+:meth:`flush`, once per engine run, batch or delta request) and
+:meth:`clear`.
 
-* a ``manifest.json`` sidecar records per-entry metadata -- the package
-  version that wrote the entry, creation and last-use timestamps, and
-  the payload size in bytes;
-* :meth:`stats` aggregates entry count, total size and runtime hit/miss
-  counters;
-* :meth:`prune` evicts least-recently-used entries until the cache fits
-  a size budget (``max_mb``); a budget passed to the constructor is
-  enforced automatically after every write;
-* :meth:`clear` empties the cache.
+One directory scan fills an in-memory ``{key: [size, last_used]}``
+view.  It runs on first use, and ``stats()`` and ``prune()`` repeat it
+to pick up what other processes wrote or deleted; this instance's reads
+and writes keep the view current, and a read hit touches only the mtime
+(plus the view when it is loaded), so a store that is only read never
+pays for a scan.  Writes are atomic (per-process tmp name + rename)
+with ``OSError`` swallowed, and a file that vanishes behind the cache's
+back simply drops out of the next scan: a long-running service must
+survive any on-disk state it finds.
 
-**Shared-store spill** (the fleet backing store): construct with
-``shared_dir`` and every write is additionally *spilled* to a second
-directory-based store -- itself a :class:`ResultCache`, so it reuses
-the same manifest machinery and atomic-write discipline -- and every
-local miss falls through to a shared read.  A shared hit is *adopted*
-into the local directory, so a worker that inherits another worker's
-solve serves the next lookup locally.  Several worker processes (the
-``repro fleet`` topology) point at one shared directory: entry keys
-already incorporate the package version (see ``Engine.cache_key``), so
-a store shared across rolling versions never serves an envelope written
-by other code -- version-aware invalidation for free -- and manifest
-update races between workers reconcile exactly like the single-cache
-multi-engine case documented below.
+**Shared-store spill** (the ``repro fleet`` backing store): with
+``shared_dir``, every write is also *spilled* to a second
+:class:`ResultCache`, and a local miss falls through to it; a shared
+hit is *adopted* locally, so the next lookup is a local read.
 
-The manifest is advisory, never a correctness dependency: a missing,
-corrupt or stale manifest is rebuilt from a directory scan (file sizes
-and mtimes), and every manifest write is atomic (per-process tmp name +
-rename) with ``OSError`` swallowed, matching the entry-write discipline.
-Concurrent engines sharing a cache directory may lose a manifest update
-race; the next rebuild reconciles.  Manifest entries whose files were
-deleted behind the cache's back (an external prune, a cleanup cron, a
-second host sharing the directory) are *reported* -- counted in
-``stats()["stale_dropped"]`` -- and skipped, never an error: a
-long-running service must survive any on-disk state it finds.
-
-Instances are thread-safe: every public method holds one re-entrant
-lock, so the many concurrent requests of :mod:`repro.service` can share
-a single cache without corrupting the manifest (single-flight dedup in
-the service layer additionally collapses identical concurrent misses).
+Every public method holds one re-entrant lock, so the concurrent
+requests of :mod:`repro.service` can share a single instance.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import os
 import threading
 import time
+from contextlib import suppress
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -59,23 +42,19 @@ __all__ = ["ResultCache"]
 
 PathLike = Union[str, Path]
 
-MANIFEST_NAME = "manifest.json"
-_MANIFEST_KIND = "cache-manifest"
-
-
-def _utcnow() -> float:
-    return time.time()
+# Entry keys are 64-character hex digests.  Globbing on that shape keeps
+# any other ``*.json`` in the directory -- such as the ``manifest.json``
+# that older versions of this cache wrote -- from counting as an entry.
+_ENTRY_GLOB = "?" * 64 + ".json"
 
 
 class ResultCache:
-    """Size-bounded, manifest-tracked store of JSON envelope payloads.
+    """Size-bounded store of JSON envelope payloads, one file per key.
 
     Args:
         directory: cache directory (created on first write).
-        max_mb: optional size budget in megabytes.  When set, every
-            write is followed by an LRU eviction pass that keeps the
-            total payload size under the budget.  ``None`` means
-            unbounded (PR-1 behaviour).
+        max_mb: optional size budget in megabytes, enforced by
+            :meth:`flush`; ``None`` means unbounded.
         shared_dir: optional second directory acting as a shared
             backing store (unbounded): writes spill to it, local misses
             fall through to it, shared hits are adopted locally.  Must
@@ -103,20 +82,10 @@ class ResultCache:
         self.misses = 0
         # Lookups served by the shared backing store (a subset of hits).
         self.shared_hits = 0
-        # Cumulative count of manifest entries dropped because their
-        # entry files had been deleted behind the cache's back.
-        self.stale_dropped = 0
-        # One lock for every public method: concurrent service requests
-        # share a single instance (reads, writes, reconciling scans).
+        # One lock for every public method (reads, writes, scans).
         self._lock = threading.RLock()
-        # In-memory manifest view: loaded (with a reconciling directory
-        # scan) on first use, then kept current by read/write so hot
-        # paths never pay a per-operation scan.  stats/prune re-scan.
-        # Writes mark it dirty; callers batch the disk flush via
-        # flush() -- a cold sweep must not rewrite the whole manifest
-        # once per stored entry.
-        self._manifest: Optional[Dict[str, Any]] = None
-        self._dirty = False
+        # {key: [size, last_used]}, filled by _view() on first use.
+        self._entries: Optional[Dict[str, List[float]]] = None
 
     # ------------------------------------------------------------------
     # entry I/O
@@ -125,15 +94,8 @@ class ResultCache:
         return self.directory / f"{key}.json"
 
     def read(self, key: str) -> Optional[str]:
-        """Payload text for ``key``, or ``None`` on a miss.
-
-        A hit refreshes the entry's LRU position: the in-memory
-        manifest ``last_used`` plus the entry file's mtime.  The mtime
-        is the durable signal -- manifest loads take
-        ``max(last_used, mtime)`` -- so hits never pay a per-operation
-        manifest flush (a warm sweep would otherwise rewrite the whole
-        manifest once per request).
-        """
+        """Payload text for ``key``, or ``None`` on a miss.  A hit
+        refreshes the entry's mtime (and the view, when loaded)."""
         with self._lock:
             path = self.entry_path(key)
             try:
@@ -149,17 +111,14 @@ class ResultCache:
                 # this key is a local disk read, not a shared round-trip.
                 self.hits += 1
                 self.shared_hits += 1
-                self._adopt(key, spilled)
+                self._write_local(key, spilled)
                 return spilled
             self.hits += 1
-            now = _utcnow()
-            try:
+            now = time.time()
+            with suppress(OSError):
                 os.utime(path, (now, now))
-            except OSError:
-                pass
-            entry = self._manifest_view()["entries"].get(key)
-            if entry is not None:
-                entry["last_used"] = now
+            if self._entries is not None and key in self._entries:
+                self._entries[key][1] = now
             return text
 
     def invalidate(self, key: str) -> None:
@@ -178,37 +137,24 @@ class ResultCache:
                 self.shared._drop(key)
 
     def _drop(self, key: str) -> None:
-        """Remove one entry and its manifest record; counters untouched."""
+        """Remove one entry file and its view record; counters untouched."""
         with self._lock:
-            try:
+            with suppress(OSError):
                 self.entry_path(key).unlink(missing_ok=True)
-            except OSError:
-                pass
-            manifest = self._manifest_view()
-            if manifest["entries"].pop(key, None) is not None:
-                self._dirty = True
+            if self._entries is not None:
+                self._entries.pop(key, None)
 
-    def write(self, key: str, text: str, version: str) -> None:
-        """Atomically store ``text`` under ``key`` and track it.
-
-        ``version`` is recorded in the manifest (informational -- the
-        cache *key* already incorporates the package version, so stale
-        code never serves an entry it did not write).  When a size
-        budget is configured, least-recently-used entries are evicted
-        until the cache fits.  With a shared backing store configured,
-        the entry is additionally spilled there (best-effort: a
-        read-only shared volume degrades to a local-only cache).
-        """
+    def write(self, key: str, text: str) -> None:
+        """Atomically store ``text`` under ``key``, spilling it to the
+        shared store when there is one (best-effort: a read-only shared
+        volume degrades to a local-only cache).  :meth:`flush` enforces
+        the size budget."""
         with self._lock:
-            self._write_local(key, text, version)
+            self._write_local(key, text)
             if self.shared is not None:
-                self.shared.write(key, text, version)
+                self.shared.write(key, text)
 
-    def _adopt(self, key: str, text: str) -> None:
-        """Store a shared hit locally without spilling it back."""
-        self._write_local(key, text, version="shared")
-
-    def _write_local(self, key: str, text: str, version: str) -> None:
+    def _write_local(self, key: str, text: str) -> None:
         with self._lock:
             self.directory.mkdir(parents=True, exist_ok=True)
             path = self.entry_path(key)
@@ -217,75 +163,45 @@ class ResultCache:
                 tmp.write_text(text)
                 tmp.replace(path)
             except OSError:
-                try:
+                with suppress(OSError):
                     tmp.unlink(missing_ok=True)
-                except OSError:
-                    pass
                 return
-            now = _utcnow()
-            manifest = self._manifest_view()
-            manifest["entries"][key] = {
-                "version": version,
-                "created": now,
-                "last_used": now,
-                "size": len(text.encode("utf-8")),
-            }
-            if self.max_mb is not None:
-                # The in-process view is current for everything this
-                # instance wrote; no need to re-scan the directory on the
-                # store hot path (prune() does, for external callers).
-                self._evict(manifest, self.max_mb)
-            self._dirty = True
+            if self._entries is not None:
+                self._entries[key] = [len(text.encode("utf-8")), time.time()]
 
     def flush(self) -> None:
-        """Write the in-memory manifest to disk if it has unsaved
-        changes.  The engine calls this once per run/batch; a crash
-        before a flush only costs metadata (the next load reconciles
-        from the entry files themselves)."""
+        """Enforce the instance's size budget, if it has one.
+
+        The engine calls this once per run, batch or delta request, so
+        a sweep sorts the entries once, not once per stored envelope.
+        """
         with self._lock:
-            if self._dirty and self._manifest is not None:
-                self._store_manifest(self._manifest)
-                self._dirty = False
-            if self.shared is not None:
-                self.shared.flush()
+            if self.max_mb is not None:
+                self._evict(self.max_mb)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def stats(self, reconcile: bool = True) -> Dict[str, Any]:
-        """Aggregate cache statistics.
+        """``entries``, ``total_bytes``, ``max_bytes`` (``None`` when
+        unbounded), ``directory`` and this instance's ``hits``/``misses``.
 
-        Returns a dict with ``entries``, ``total_bytes``, ``max_bytes``
-        (``None`` when unbounded), ``directory``, this instance's
-        runtime ``hits``/``misses`` counters, and ``stale_dropped`` --
-        the cumulative count of manifest entries skipped because their
-        files had been deleted behind the cache's back.
-
-        ``reconcile=False`` serves the in-memory manifest view without
-        the per-call directory rescan (and without picking up external
-        deletions until something else reconciles).  The service's
-        ``/stats`` endpoint uses it so a monitoring poller holding the
-        cache lock through thousands of ``stat()`` calls cannot stall
-        concurrent allocations.
+        ``reconcile=False`` serves the in-memory view without rescanning
+        the directory, so it misses what other processes wrote or
+        deleted since the last scan.  The service's ``/stats`` uses it:
+        a poller must not hold the cache lock through thousands of
+        ``stat()`` calls while allocations wait.
         """
         with self._lock:
-            manifest = self._manifest_view(reconcile=reconcile)
-            # Persist any reconcile repairs so repeated stats() calls
-            # do not rediscover (and recount) the same stale entries.
-            self.flush()
-            total = sum(e["size"] for e in manifest["entries"].values())
+            entries = self._view(rescan=reconcile)
             report: Dict[str, Any] = {
                 "directory": str(self.directory),
-                "entries": len(manifest["entries"]),
-                "total_bytes": total,
-                "max_bytes": (
-                    int(self.max_mb * 1024 * 1024)
-                    if self.max_mb is not None
-                    else None
-                ),
+                "entries": len(entries),
+                "total_bytes": sum(size for size, _ in entries.values()),
+                "max_bytes": (None if self.max_mb is None
+                              else int(self.max_mb * 1024 * 1024)),
                 "hits": self.hits,
                 "misses": self.misses,
-                "stale_dropped": self.stale_dropped,
             }
             if self.shared is not None:
                 report["shared_hits"] = self.shared_hits
@@ -301,43 +217,31 @@ class ResultCache:
         """
         budget_mb = max_mb if max_mb is not None else self.max_mb
         if budget_mb is not None and budget_mb <= 0:
-            # The constructor rejects max_mb <= 0; an explicit prune
-            # must not treat the same value as "evict everything" --
-            # full eviction is what clear() is for.
+            # The constructor rejects max_mb <= 0 too: full eviction is
+            # what clear() is for.
             raise ValueError(f"max_mb must be positive, got {budget_mb}")
         with self._lock:
-            manifest = self._manifest_view(reconcile=True)
-            report = self._evict(manifest, budget_mb)
-            if report["evicted"]:
-                self._store_manifest(manifest)
-                self._dirty = False
-            return report
+            self._view(rescan=True)
+            return self._evict(budget_mb)
 
-    def _evict(
-        self, manifest: Dict[str, Any], budget_mb: Optional[float]
-    ) -> Dict[str, int]:
-        """LRU-evict ``manifest`` entries in place until under budget.
-
-        Mutates the manifest only; callers decide when to flush it.
-        """
-        entries = manifest["entries"]
-        evicted = 0
-        reclaimed = 0
-        if budget_mb is not None:
-            budget = int(budget_mb * 1024 * 1024)
-            total = sum(e["size"] for e in entries.values())
-            for key in sorted(entries, key=lambda k: entries[k]["last_used"]):
-                if total <= budget:
-                    break
-                size = entries[key]["size"]
-                try:
-                    self.entry_path(key).unlink(missing_ok=True)
-                except OSError:
-                    continue  # keep tracking what we could not remove
-                del entries[key]
-                total -= size
-                evicted += 1
-                reclaimed += size
+    def _evict(self, budget_mb: Optional[float]) -> Dict[str, int]:
+        """LRU-evict entries of the view until under ``budget_mb``."""
+        entries = self._view()
+        budget = math.inf if budget_mb is None else budget_mb * 1024 * 1024
+        total = sum(size for size, _ in entries.values())
+        evicted = reclaimed = 0
+        for key in sorted(entries, key=lambda k: entries[k][1]):
+            if total <= budget:
+                break
+            size = entries[key][0]
+            try:
+                self.entry_path(key).unlink(missing_ok=True)
+            except OSError:
+                continue  # keep tracking what we could not remove
+            del entries[key]
+            total -= size
+            evicted += 1
+            reclaimed += size
         return {
             "evicted": evicted,
             "reclaimed_bytes": reclaimed,
@@ -345,132 +249,29 @@ class ResultCache:
         }
 
     def clear(self) -> int:
-        """Remove every entry (and the manifest); returns entries removed."""
+        """Remove every entry; returns the number of entries removed."""
         with self._lock:
             removed = 0
-            if not self.directory.is_dir():
-                return removed
-            for path in self._scan_entry_paths():
+            for path in self.directory.glob(_ENTRY_GLOB):
                 try:
                     path.unlink(missing_ok=True)
                     removed += 1
                 except OSError:
                     pass
-            try:
-                (self.directory / MANIFEST_NAME).unlink(missing_ok=True)
-            except OSError:
-                pass
-            self._manifest = None
-            self._dirty = False
+            self._entries = {}
             return removed
 
-    # ------------------------------------------------------------------
-    # manifest internals
-    # ------------------------------------------------------------------
-    def _scan_entry_paths(self) -> List[Path]:
-        return [
-            path
-            for path in self.directory.glob("*.json")
-            if path.name != MANIFEST_NAME
-        ]
-
-    def _manifest_view(self, reconcile: bool = False) -> Dict[str, Any]:
-        """The working manifest; ``reconcile`` forces a fresh scan."""
+    def _view(self, rescan: bool = False) -> Dict[str, List[float]]:
+        """The ``{key: [size, last_used]}`` view, scanning the
+        directory on first use or when ``rescan`` asks for it."""
         with self._lock:
-            if reconcile or self._manifest is None:
-                # Unsaved in-memory state (entry versions, LRU touches)
-                # must survive the reload, which reads the on-disk file.
-                self.flush()
-                self._manifest = self._load_manifest()
-            return self._manifest
-
-    @staticmethod
-    def _entry_usable(entry: Any) -> bool:
-        return (
-            isinstance(entry, dict)
-            and isinstance(entry.get("size"), int)
-            and isinstance(entry.get("last_used"), (int, float))
-        )
-
-    def _load_manifest(self) -> Dict[str, Any]:
-        """The manifest, rebuilt from a directory scan when unusable.
-
-        Rebuild also reconciles drift, entry by entry so one bad record
-        never discards the metadata of every other entry:
-
-        * entries whose files vanished (deleted behind the cache's
-          back) are dropped and **reported** via ``stale_dropped``;
-        * malformed entry records whose files still exist are repaired
-          from filesystem metadata;
-        * files the manifest never saw (written by a concurrent engine
-          that lost the manifest race) are adopted with their
-          filesystem timestamps and an ``unknown`` version.
-        """
-        manifest_path = self.directory / MANIFEST_NAME
-        manifest: Optional[Dict[str, Any]] = None
-        try:
-            data = json.loads(manifest_path.read_text())
-            if (
-                isinstance(data, dict)
-                and data.get("kind") == _MANIFEST_KIND
-                and isinstance(data.get("entries"), dict)
-            ):
-                manifest = data
-        except (OSError, ValueError):
-            manifest = None
-        if manifest is None:
-            manifest = {"kind": _MANIFEST_KIND, "entries": {}}
-        entries = manifest["entries"]
-        reconciled = False
-        on_disk = {path.stem: path for path in self._scan_entry_paths()}
-        for key in list(entries):
-            if key not in on_disk:
-                # Since-deleted entry file: skip the record, count it.
-                del entries[key]
-                self.stale_dropped += 1
-                reconciled = True
-        for key, path in on_disk.items():
-            try:
-                stat = path.stat()
-            except OSError:
-                # Deleted between the scan and the stat: same skip.
-                if entries.pop(key, None) is not None:
-                    self.stale_dropped += 1
-                    reconciled = True
-                continue
-            entry = entries.get(key)
-            if not self._entry_usable(entry):
-                # Missing or malformed record for a file that exists:
-                # repair from filesystem metadata.
-                entries[key] = {
-                    "version": "unknown",
-                    "created": stat.st_mtime,
-                    "last_used": stat.st_mtime,
-                    "size": stat.st_size,
-                }
-                reconciled = True
-            else:
-                # Hits bump the file mtime without flushing the
-                # manifest; the durable LRU position is the newer of
-                # the two.  Size is re-read in case another process
-                # rewrote the entry.
-                entry["last_used"] = max(entry["last_used"], stat.st_mtime)
-                entry["size"] = stat.st_size
-        if reconciled:
-            # The repaired view must reach disk, or the next reload
-            # re-reads the stale on-disk manifest and re-counts the
-            # same drops (stale_dropped would grow on every stats()).
-            self._dirty = True
-        return manifest
-
-    def _store_manifest(self, manifest: Dict[str, Any]) -> None:
-        path = self.directory / MANIFEST_NAME
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(manifest, sort_keys=True))
-            tmp.replace(path)
-        except OSError:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+            if rescan or self._entries is None:
+                entries: Dict[str, List[float]] = {}
+                for path in self.directory.glob(_ENTRY_GLOB):
+                    try:
+                        stat = path.stat()
+                    except OSError:
+                        continue  # deleted between the glob and the stat
+                    entries[path.stem] = [stat.st_size, stat.st_mtime]
+                self._entries = entries
+            return self._entries

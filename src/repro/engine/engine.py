@@ -359,13 +359,10 @@ class Engine:
             return
         if result.error is not None and not result.error.startswith("infeasible"):
             return  # timeouts / validation failures are not deterministic facts
-        from .. import __version__
         from ..io.json_io import allocation_result_to_dict
 
         self._cache.write(
-            key,
-            json.dumps(allocation_result_to_dict(result), sort_keys=True),
-            version=__version__,
+            key, json.dumps(allocation_result_to_dict(result), sort_keys=True)
         )
 
     # ------------------------------------------------------------------
@@ -541,6 +538,6 @@ class Engine:
             assert result is not None
             self._cache_store(keys[index], result)
         if self._cache is not None:
-            self._cache.flush()  # one manifest write per batch, not per store
+            self._cache.flush()  # one budget check per batch, not per store
         assert all(r is not None for r in results)
         return list(results)  # type: ignore[arg-type]

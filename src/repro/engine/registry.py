@@ -25,10 +25,12 @@ Linux's ``fork`` children inherit interactive registrations.
 
 from __future__ import annotations
 
+import inspect
 from typing import (
     Callable,
     Dict,
     List,
+    Mapping,
     Optional,
     Protocol,
     Tuple,
@@ -50,6 +52,7 @@ __all__ = [
     "Allocator",
     "UnknownAllocatorError",
     "allocator_names",
+    "check_options",
     "get_allocator",
     "register_allocator",
     "unregister_allocator",
@@ -132,6 +135,35 @@ def get_allocator(name: str) -> Allocator:
         if restored is not None:
             return restored
         raise UnknownAllocatorError(name, allocator_names()) from None
+
+
+def check_options(name: str, options: Mapping[str, object]) -> None:
+    """Reject option names the ``name`` allocator does not accept.
+
+    The accepted names are the allocator's ``option_names`` attribute
+    when it declares one (``dpalloc`` forwards ``**options`` to
+    ``DPAllocOptions``), else the parameters its signature takes after
+    the problem; a strategy taking undeclared ``**options`` accepts any.
+    The service edge calls this so a misspelt option is a typed 400
+    instead of an envelope carrying the allocator's ``TypeError``.
+
+    Raises:
+        UnknownAllocatorError: no strategy is registered under ``name``.
+        ValueError: ``options`` names an option the strategy lacks.
+    """
+    fn = get_allocator(name)
+    accepted = getattr(fn, "option_names", None)
+    if accepted is None:
+        params = list(inspect.signature(fn).parameters.values())[1:]
+        if any(p.kind is p.VAR_KEYWORD for p in params):
+            return
+        accepted = [p.name for p in params if p.kind is not p.VAR_POSITIONAL]
+    unknown = sorted(set(options) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"allocator {name!r} has no option(s) {unknown}; "
+            f"accepted: {sorted(accepted)}"
+        )
 
 
 def _restore_builtin(name: str) -> Optional[Allocator]:

@@ -204,11 +204,7 @@ def _store_artifact(
         return
     payload = _artifact_payload(problem, options, records, envelope)
     if engine._cache is not None:
-        from .. import __version__
-
-        engine._cache.write(
-            key, json.dumps(payload, sort_keys=True), version=__version__
-        )
+        engine._cache.write(key, json.dumps(payload, sort_keys=True))
         return
     with engine._replay_lock:
         memory = engine._replay_memory
@@ -301,7 +297,7 @@ def _delta_error(
 
 def _finish(engine: "Engine", result: AllocationResult) -> AllocationResult:
     if engine._cache is not None:
-        engine._cache.flush()  # one manifest write per delta request
+        engine._cache.flush()  # one budget check per delta request
     return result
 
 

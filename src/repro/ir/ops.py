@@ -35,8 +35,10 @@ class Operation:
     resource_kind: str = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("operation name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(
+                f"operation name must be a non-empty string, got {self.name!r}"
+            )
         widths = tuple(int(w) for w in self.operand_widths)
         if any(w <= 0 for w in widths):
             raise ValueError(f"operation {self.name!r}: widths must be positive")

@@ -93,8 +93,8 @@ class AsyncEngine:
         # shared ResultCache below has its own lock.
         self._inflight: Dict[str, "asyncio.Task[AllocationResult]"] = {}
         # The latency window IS read off-loop (the server offloads
-        # /stats to a thread so the manifest rescan cannot stall the
-        # loop), so appends and snapshots share a lock.
+        # /stats to a thread so a cache directory scan cannot stall
+        # the loop), so appends and snapshots share a lock.
         self._latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._latency_lock = threading.Lock()
         self._running = 0

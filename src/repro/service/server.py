@@ -44,8 +44,10 @@ import asyncio
 from typing import Any, Dict, Optional, Tuple
 
 from .. import __version__
-from ..engine import Engine, get_allocator
+from ..engine import Engine
 from ..engine.engine import request_content_key, versioned_content_key
+from ..engine.registry import check_options
+from ..engine.replay import DELTA_ALLOCATOR
 from ..io.json_io import (
     allocation_request_from_dict,
     allocation_result_to_dict,
@@ -71,7 +73,8 @@ __all__ = ["AllocationServer", "ServerThread"]
 
 # What a malformed body raises while it is parsed: each becomes a 400.
 # ``OverflowError`` is a JSON ``1e400`` reaching ``int()``; an unknown
-# allocator name is a ``KeyError`` from the registry lookup.
+# allocator name is a ``KeyError`` from the registry lookup, an option
+# the allocator lacks a ``ValueError``.
 _BAD_PAYLOAD = (KeyError, OverflowError, TypeError, ValueError)
 
 
@@ -146,8 +149,8 @@ class AllocationServer(HttpServerBase):
     async def _handle_stats(
         self, _body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
-        # stats() takes the cache lock (first use may still scan the
-        # directory to build the manifest view): run it on the default
+        # stats() takes the cache lock (first use still scans the cache
+        # directory to build the entry view): run it on the default
         # thread pool -- not the bounded solve pool, which may be
         # saturated by long solves -- so a /stats poller never stalls
         # the event loop.
@@ -163,7 +166,7 @@ class AllocationServer(HttpServerBase):
         self._check_version(data)
         try:
             request = allocation_request_from_dict(data)
-            get_allocator(request.allocator)
+            check_options(request.allocator, request.options)
         except _BAD_PAYLOAD as exc:
             raise HttpError(400, f"bad allocation-request: {exc}") from None
         result = await self.async_engine.run(request)
@@ -184,7 +187,7 @@ class AllocationServer(HttpServerBase):
         try:
             requests = batch_request_from_dict(data)
             for request in requests:
-                get_allocator(request.allocator)
+                check_options(request.allocator, request.options)
         except _BAD_PAYLOAD as exc:
             raise HttpError(
                 400, f"bad allocation-batch-request: {exc}"
@@ -205,6 +208,7 @@ class AllocationServer(HttpServerBase):
         self._check_version(data)
         try:
             request = delta_request_from_dict(data)
+            check_options(DELTA_ALLOCATOR, request.options)
         except _BAD_PAYLOAD as exc:
             raise HttpError(400, f"bad delta-request: {exc}") from None
         result = await self.async_engine.run_delta(request)

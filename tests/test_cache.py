@@ -1,4 +1,4 @@
-"""Tests for the result-cache lifecycle: manifest, stats, eviction."""
+"""Tests for the result-cache lifecycle: entry files, stats, eviction."""
 
 import json
 import time
@@ -24,41 +24,34 @@ def entry_files(cache_dir):
 
 
 class TestManifest:
-    def test_written_alongside_entries_with_metadata(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        Engine(cache_dir=cache_dir).run_batch(requests_for(3))
-        manifest = json.loads((cache_dir / "manifest.json").read_text())
-        assert manifest["kind"] == "cache-manifest"
-        assert len(manifest["entries"]) == 3
-        for key, entry in manifest["entries"].items():
-            assert set(entry) == {"version", "created", "last_used", "size"}
-            from repro import __version__
-
-            assert entry["version"] == __version__
-            assert entry["size"] == (
-                cache_dir / f"{key}.json"
-            ).stat().st_size
+    """The entry files are the only record: no manifest is written, and
+    one left behind by an older version of the cache is ignored."""
 
     def test_corrupt_manifest_is_rebuilt_from_scan(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        engine = Engine(cache_dir=cache_dir)
-        engine.run_batch(requests_for(3))
-        for corruption in ("{not json", '{"kind": "other"}', "[]",
-                           '{"kind": "cache-manifest", "entries": 3}'):
-            (cache_dir / "manifest.json").write_text(corruption)
+        for leftover in ("{not json", '{"kind": "other"}', "[]",
+                         '{"kind": "cache-manifest", "entries": 3}'):
+            Engine(cache_dir=cache_dir).run_batch(requests_for(3))
+            on_disk = sum(p.stat().st_size for p in entry_files(cache_dir))
+            (cache_dir / "manifest.json").write_text(leftover)
             fresh = Engine(cache_dir=cache_dir)
             stats = fresh.cache_stats()
-            assert stats["entries"] == 3, corruption
-            assert stats["total_bytes"] > 0
-            # ... and entries are still served as cache hits
+            assert stats["entries"] == 3, leftover
+            assert stats["total_bytes"] == on_disk, leftover
+            # ... entries are still served as cache hits, and the
+            # leftover file is neither rewritten nor pruned
             results = fresh.run_batch(requests_for(3))
-            assert all(r.cached for r in results), corruption
+            assert all(r.cached for r in results), leftover
+            fresh.prune_cache(max_mb=1e-6)
+            assert (cache_dir / "manifest.json").read_text() == leftover
+            assert fresh.cache_stats()["entries"] == 0
 
     def test_rebuild_adopts_untracked_entries(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        engine = Engine(cache_dir=cache_dir)
-        engine.run_batch(requests_for(2))
-        (cache_dir / "manifest.json").unlink()
+        Engine(cache_dir=cache_dir, cache_max_mb=10).run_batch(
+            requests_for(2)
+        )
+        assert not (cache_dir / "manifest.json").exists()
         stats = Engine(cache_dir=cache_dir).cache_stats()
         assert stats["entries"] == 2
 
@@ -69,72 +62,64 @@ class TestManifest:
         entry_files(cache_dir)[0].unlink()
         assert Engine(cache_dir=cache_dir).cache_stats()["entries"] == 1
 
-    def test_stale_manifest_entries_are_reported(self, tmp_path):
-        """Since-deleted entry files are skipped *and counted* -- a
-        long-running service sharing the directory with an external
-        cleanup must see the drift, never a traceback."""
-        cache_dir = tmp_path / "cache"
-        Engine(cache_dir=cache_dir).run_batch(requests_for(3))
-        for path in entry_files(cache_dir)[:2]:
-            path.unlink()
-        stats = Engine(cache_dir=cache_dir).cache_stats()
-        assert stats["entries"] == 1
-        assert stats["stale_dropped"] == 2
-
-    def test_stale_entries_counted_once_not_per_stats_call(self, tmp_path):
-        """The reconcile repairs the on-disk manifest, so a /stats
-        poller (or repeated `repro cache stats`) sees each deletion
-        counted once -- the counter must not grow without bound."""
-        cache_dir = tmp_path / "cache"
-        Engine(cache_dir=cache_dir).run_batch(requests_for(2))
-        entry_files(cache_dir)[0].unlink()
-        cache = ResultCache(cache_dir)
-        assert [cache.stats()["stale_dropped"] for _ in range(3)] == [1, 1, 1]
-        # ... and the repaired manifest reached disk: a fresh instance
-        # finds nothing stale.
-        assert ResultCache(cache_dir).stats()["stale_dropped"] == 0
-
-    def test_one_malformed_entry_does_not_discard_the_manifest(self, tmp_path):
-        """Per-entry validation: a single bad record is repaired from
-        filesystem metadata while every other entry keeps its recorded
-        version (pre-fix, one bad record rebuilt the whole manifest)."""
-        from repro import __version__
-
-        cache_dir = tmp_path / "cache"
-        Engine(cache_dir=cache_dir).run_batch(requests_for(3))
-        manifest_path = cache_dir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        victim = sorted(manifest["entries"])[0]
-        manifest["entries"][victim] = "garbage"
-        manifest_path.write_text(json.dumps(manifest))
-
-        cache = ResultCache(cache_dir)
-        stats = cache.stats()
-        assert stats["entries"] == 3
-        assert stats["stale_dropped"] == 0
-        view = cache._manifest_view()
-        assert view["entries"][victim]["version"] == "unknown"  # repaired
-        others = [k for k in view["entries"] if k != victim]
-        assert all(
-            view["entries"][k]["version"] == __version__ for k in others
-        )
-
     def test_deleted_and_malformed_mix_never_tracebacks(self, tmp_path):
         cache_dir = tmp_path / "cache"
         Engine(cache_dir=cache_dir).run_batch(requests_for(3))
-        manifest_path = cache_dir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        keys = sorted(manifest["entries"])
-        manifest["entries"][keys[0]] = None          # malformed record
-        manifest["entries"]["phantom"] = {            # references no file
-            "version": "x", "created": 0, "last_used": 0, "size": 1,
-        }
-        manifest_path.write_text(json.dumps(manifest))
+        keys = [p.stem for p in entry_files(cache_dir)]
+        (cache_dir / "manifest.json").write_text(json.dumps({
+            "kind": "cache-manifest",
+            "entries": {keys[0]: None, "phantom": {"size": 1}},
+        }))
         (cache_dir / f"{keys[1]}.json").unlink()      # deleted entry file
+        (cache_dir / f"{keys[2]}.123.tmp").write_text("{torn")  # dead writer
+        (cache_dir / "notes.json").write_text("{}")   # not a 64-char key
 
-        stats = Engine(cache_dir=cache_dir).cache_stats()
-        assert stats["entries"] == 2                  # keys[0] repaired, keys[2] kept
-        assert stats["stale_dropped"] == 2            # phantom + keys[1]
+        engine = Engine(cache_dir=cache_dir)
+        assert engine.cache_stats()["entries"] == 2   # keys[0] and keys[2]
+        assert engine.prune_cache(max_mb=1e-6)["evicted"] == 2
+        assert engine.clear_cache() == 0
+
+
+class TestDirectoryIndex:
+    def test_two_instances_count_and_prune_each_others_entries(
+        self, tmp_path
+    ):
+        """Two caches on one directory (two fleet workers sharing a
+        store): each sees the other's entries and prunes them in mtime
+        order, whoever wrote them."""
+        cache_dir = tmp_path / "cache"
+        first, second = ResultCache(cache_dir), ResultCache(cache_dir)
+        text = json.dumps({"payload": "x" * 200})
+        assert first.stats()["entries"] == second.stats()["entries"] == 0
+        for name, cache in (("a", first), ("b", second),
+                            ("c", first), ("d", second)):
+            cache.write("k" * 63 + name, text)
+            time.sleep(0.01)
+        assert first.stats()["entries"] == second.stats()["entries"] == 4
+        # Touching "a" through the second instance makes it the newest.
+        assert second.read("k" * 63 + "a") == text
+        report = first.prune(max_mb=(2.5 * len(text)) / (1024 * 1024))
+        assert report == {
+            "evicted": 2, "reclaimed_bytes": 2 * len(text), "remaining": 2,
+        }
+        remaining = {p.stem[-1] for p in entry_files(cache_dir)}
+        assert remaining == {"a", "d"}
+        assert second.stats()["entries"] == 2
+
+    def test_stats_without_reconcile_serves_the_view(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache = ResultCache(cache_dir)
+        cache.write("k" * 64, "{}")
+        assert cache.stats(reconcile=False)["entries"] == 1
+        ResultCache(cache_dir).write("j" * 64, "{}")  # another process
+        assert cache.stats(reconcile=False)["entries"] == 1
+        assert cache.stats()["entries"] == 2
+
+    def test_read_hits_never_scan(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        cache.write("k" * 64, "{}")
+        assert cache.read("k" * 64) == "{}"
+        assert cache._entries is None  # no directory scan so far
 
 
 class TestStats:
@@ -167,7 +152,7 @@ class TestEviction:
         cache = ResultCache(tmp_path / "cache")
         text = json.dumps({"payload": "x" * 200})
         for name in ("a", "b", "c"):
-            cache.write("k" * 63 + name, text, version="test")
+            cache.write("k" * 63 + name, text)
             time.sleep(0.01)
         # Touch "a": it becomes most recently used.
         assert cache.read("k" * 63 + "a") is not None
@@ -179,12 +164,16 @@ class TestEviction:
         assert "b" not in remaining
 
     def test_budget_enforced_after_each_store(self, tmp_path):
+        # The flush that ends each run or batch enforces the budget.
         cache_dir = tmp_path / "cache"
         engine = Engine(cache_dir=cache_dir, cache_max_mb=0.002)  # ~2 KB
         engine.run_batch(requests_for(6))
-        stats = engine.cache_stats()
-        assert stats["total_bytes"] <= 0.002 * 1024 * 1024
-        assert stats["entries"] < 6
+        on_disk = sum(p.stat().st_size for p in entry_files(cache_dir))
+        assert 0 < on_disk <= 0.002 * 1024 * 1024
+        stats = engine.cache_stats(reconcile=False)
+        assert stats["total_bytes"] == on_disk
+        assert stats["entries"] == len(entry_files(cache_dir)) < 6
+        assert engine.cache_stats()["total_bytes"] == on_disk
 
     def test_unbounded_by_default(self, tmp_path):
         engine = Engine(cache_dir=tmp_path / "cache")
@@ -215,8 +204,8 @@ class TestEviction:
         assert engine.cache_stats()["entries"] == 2
 
     def test_lru_position_survives_across_instances(self, tmp_path):
-        # Hits refresh the entry file mtime instead of flushing the
-        # manifest; a later engine's prune must still see that recency.
+        # Hits refresh the entry file mtime, the only LRU record; a
+        # later engine's prune must see that recency.
         cache_dir = tmp_path / "cache"
         first = Engine(cache_dir=cache_dir)
         requests = requests_for(3)
@@ -285,16 +274,6 @@ class TestCacheCli:
         assert main(["cache", "stats", str(cache_dir)]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 2 and stats["total_bytes"] > 0
-
-    def test_stats_warns_about_since_deleted_entries(self, tmp_path, capsys):
-        cache_dir = self.seed(tmp_path, capsys)
-        entry_files(cache_dir)[0].unlink()
-        assert main(["cache", "stats", str(cache_dir)]) == 0
-        captured = capsys.readouterr()
-        stats = json.loads(captured.out)
-        assert stats["entries"] == 1
-        assert stats["stale_dropped"] == 1
-        assert "skipped 1 manifest entries" in captured.err
 
     def test_prune_requires_budget(self, tmp_path, capsys):
         cache_dir = self.seed(tmp_path, capsys)

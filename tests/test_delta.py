@@ -453,7 +453,7 @@ class TestArtifactVersioning:
             "problem": problem_to_dict(problem),
             "moves": ["refine:a", "refine:b"],  # pre-schema-1 field
         }
-        engine._cache.write(key, json.dumps(old), version="0.0.1")
+        engine._cache.write(key, json.dumps(old))
         self._assert_recovers(problem, engine)
         # The unusable entry was invalidated, not left to re-parse.
         assert engine._cache.read(key) != json.dumps(old)
@@ -463,23 +463,20 @@ class TestArtifactVersioning:
         engine._cache.write(
             key,
             json.dumps({"kind": "allocation-result", "allocator": "dpalloc"}),
-            version="0.0.1",
         )
         self._assert_recovers(problem, engine)
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         problem, engine, key = self._warm_engine(tmp_path)
-        engine._cache.write(key, "{not json", version="0.0.1")
+        engine._cache.write(key, "{not json")
         self._assert_recovers(problem, engine)
 
     def test_old_version_manifest_entry_is_tolerated(self, tmp_path):
-        # Entries written by an older package version share the
-        # manifest; loading them must be a version-keyed miss, not a
+        # Entries written by an older package version share the cache
+        # directory; loading them must be a version-keyed miss, not a
         # crash, and must not disturb newer entries.
         problem, engine, key = self._warm_engine(tmp_path)
-        engine._cache.write(
-            "0" * 64, json.dumps({"kind": REPLAY_KIND}), version="0.0.1"
-        )
+        engine._cache.write("0" * 64, json.dumps({"kind": REPLAY_KIND}))
         engine._cache.flush()
         fresh = Engine(cache_dir=tmp_path / "cache")
         assert fresh._cache.read("0" * 64) == json.dumps({"kind": REPLAY_KIND})

@@ -125,6 +125,31 @@ class TestRegistry:
             assert get_allocator("uniform") is original
 
 
+    def test_check_options_per_allocator(self):
+        from repro.engine.registry import check_options
+
+        # dpalloc declares its DPAllocOptions fields; the baselines'
+        # signatures are their options; undeclared **options take any.
+        check_options("dpalloc", {"grow": False, "mode": "best"})
+        check_options("ilp", {"time_limit": 1.0})
+        for name, options in (("dpalloc", {"zzz": 1}),
+                              ("ilp", {"grow": False}),
+                              ("uniform", {"time_limit": 1.0})):
+            with pytest.raises(ValueError, match="no option"):
+                check_options(name, options)
+        with pytest.raises(UnknownAllocatorError):
+            check_options("quantum", {})
+
+        @register_allocator("test-any-options")
+        def any_options(problem, **options):
+            return get_allocator("uniform")(problem)
+
+        try:
+            check_options("test-any-options", {"zzz": 1})
+        finally:
+            unregister_allocator("test-any-options")
+
+
 class TestExecuteRequest:
     @pytest.mark.parametrize(
         "timeout", ["soon", [1], True, 0, -1.5, float("nan"), float("inf")]

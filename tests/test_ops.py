@@ -30,6 +30,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-empty"):
             Operation("", "mul", (8, 8))
 
+    def test_non_string_name_rejected(self):
+        # An int name would otherwise reach the solver, which sorts
+        # names and fails on a mix of str and int.
+        for name in (5, 5.0, None, ("m",)):
+            with pytest.raises(ValueError, match="string"):
+                Operation(name, "mul", (8, 8))
+
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             Operation("m", "mul", (8, 0))

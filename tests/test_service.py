@@ -1,9 +1,9 @@
 """Tests for the allocation service: payloads, AsyncEngine, HTTP layer.
 
-The concurrency-edge cases the ISSUE calls out are covered explicitly:
-two clients submitting the same ``Problem.fingerprint()`` concurrently
-must not corrupt the shared ``ResultCache`` manifest (single-flight
-collapses them), and a killed worker mid-request must come back as the
+The concurrency edges are covered explicitly: two clients submitting
+the same ``Problem.fingerprint()`` concurrently must leave exactly one
+intact ``ResultCache`` entry (single-flight collapses them), and a
+killed worker mid-request must come back as the
 standard error envelope, never a hung connection.
 """
 
@@ -445,10 +445,11 @@ class TestConcurrentAccess:
         assert results[0].canonical_dict()["label"] == "c0"
         # single-flight: the identical concurrent request ran once ...
         assert calls["count"] == 1
-        # ... and the shared manifest is valid, with exactly one entry
-        manifest = json.loads((cache_dir / "manifest.json").read_text())
-        assert manifest["kind"] == "cache-manifest"
-        assert len(manifest["entries"]) == 1
+        # ... and the shared cache holds exactly one intact entry file
+        (entry,) = cache_dir.glob("*.json")
+        assert json.loads(entry.read_text())["kind"] == "allocation-result"
+        assert engine.cache_stats()["entries"] == 1
+        assert not list(cache_dir.glob("*.tmp"))
         # the cache still serves the entry afterwards
         fresh = Engine(cache_dir=cache_dir)
         hit = fresh.run(AllocationRequest(make_problem(), "test-svc-slow"))
@@ -467,11 +468,10 @@ class TestConcurrentAccess:
             client.wait_healthy()
             served = client.run_batch(requests)
         assert all(r.ok for r in served)
-        manifest = json.loads((cache_dir / "manifest.json").read_text())
-        assert manifest["kind"] == "cache-manifest"
-        assert len(manifest["entries"]) == len(
-            {r.problem.fingerprint() for r in requests}
-        )
+        distinct = len({r.problem.fingerprint() for r in requests})
+        assert len(list(cache_dir.glob("*.json"))) == distinct
+        assert engine.cache_stats()["entries"] == distinct
+        assert Engine(cache_dir=cache_dir).cache_stats()["entries"] == distinct
 
     @fork_only
     def test_killed_worker_yields_error_envelope_not_hung_connection(self):
@@ -713,6 +713,16 @@ class TestMalformedPayloads:
         yield allocate(problem=dict(base, resource_constraints=5))
         yield allocate(problem=dict(base, latency_constraint=float("inf")))
         yield allocate(allocator="no-such-allocator")
+        # Operation names must be strings: a str/int mix used to crash
+        # the solver's name sort, and all-int names used to solve.
+        for names in ((5, "5"), (5, 7)):
+            ops = [{"name": name, "op": "add", "widths": [8, 8]}
+                   for name in names]
+            graph = dict(base["graph"], operations=ops, dependencies=[])
+            yield allocate(problem=dict(base, graph=graph))
+        # Option names the allocator lacks are refused before any solve.
+        yield allocate(options={"zzz": 1})
+        yield allocate(allocator="uniform", options={"grow": False})
         for timeout in ("soon", [1], True, 0, -1.5, float("nan"),
                         float("inf")):
             yield allocate(timeout=timeout)
@@ -722,6 +732,8 @@ class TestMalformedPayloads:
                             "requests": [allocate(allocator=5)[1]]}
         yield "/v1/delta", {"kind": "delta-request", "edits": [],
                             "base_problem": 5}
+        yield "/v1/delta", {"kind": "delta-request", "edits": [],
+                            "base_problem": base, "options": {"zzz": 1}}
 
     @pytest.mark.parametrize("kind", ["serve", "fleet"])
     def test_malformed_bodies_are_http_400(self, kind):
